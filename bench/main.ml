@@ -13,14 +13,13 @@
      itself lives in examples/quickstart.ml).
 
    - Ablations for the design choices the paper calls out (DESIGN.md §5):
-     early-quantification scheduling, partition clustering, one-image-per-
-     output vs combined non-conformance, deferred completion (Theorem 1),
-     and the cs/ns variable interleaving.
+     early-quantification scheduling, partition clustering, deferred
+     completion (Theorem 1), the u/v-to-latch variable affinity, the GC
+     threshold and the cs/ns variable interleaving.
 
-   Usage:  dune exec bench/main.exe [-- --quick | --table-only | --csf-rows]
+   Usage:  dune exec bench/main.exe [-- --quick | --table-only]
      --quick       skip the full Table 1 (run micro-benchmarks only)
-     --table-only  run only Table 1
-     --csf-rows    per-row worklist-vs-sweep CSF extraction timings *)
+     --table-only  run only Table 1 *)
 
 open Bechamel
 
@@ -195,9 +194,7 @@ let ablation_quantification () =
       Test.make ~name:"partitioned, declaration order"
         (Staged.stage (bench (Img.Image.Partitioned Img.Quantify.Given)));
       Test.make ~name:"partitioned, greedy schedule"
-        (Staged.stage (bench (Img.Image.Partitioned Img.Quantify.Greedy)));
-      Test.make ~name:"partitioned, static lifetime schedule"
-        (Staged.stage (bench (Img.Image.Partitioned Img.Quantify.Lifetime))) ]
+        (Staged.stage (bench (Img.Image.Partitioned Img.Quantify.Greedy))) ]
 
 let ablation_clustering () =
   let row = Circuits.Suite.find "t298" in
@@ -208,106 +205,14 @@ let ablation_clustering () =
     in
     ignore (Equation.Partitioned.solve ~clustering p)
   in
-  let adj t = Img.Partition.Adjacent t and aff t = Img.Partition.Affinity t in
+  let aff t = Img.Partition.Affinity t in
   run_group "ablation: partition clustering (t298)"
     [ Test.make ~name:"fully partitioned"
         (Staged.stage (bench Img.Partition.No_clustering));
-      Test.make ~name:"adjacent, 100 nodes" (Staged.stage (bench (adj 100)));
-      Test.make ~name:"adjacent, 1000 nodes" (Staged.stage (bench (adj 1000)));
-      Test.make ~name:"adjacent, 10000 nodes"
-        (Staged.stage (bench (adj 10000)));
       Test.make ~name:"affinity, 100 nodes" (Staged.stage (bench (aff 100)));
       Test.make ~name:"affinity, 500 nodes (default)"
         (Staged.stage (bench (aff 500)));
       Test.make ~name:"affinity, 1000 nodes" (Staged.stage (bench (aff 1000))) ]
-
-let ablation_q_mode () =
-  let row = Circuits.Suite.find "t298" in
-  let bench q_mode () =
-    let _, p =
-      Equation.Split.problem row.Circuits.Suite.net
-        ~x_latches:row.Circuits.Suite.x_latches
-    in
-    ignore (Equation.Partitioned.solve ~q_mode p)
-  in
-  run_group "ablation: non-conformance computation (t298)"
-    [ Test.make ~name:"one image per output (paper text)"
-        (Staged.stage (bench Equation.Partitioned.Per_output));
-      Test.make ~name:"combined condition, single image"
-        (Staged.stage (bench Equation.Partitioned.Combined)) ]
-
-let ablation_csf () =
-  (* worklist vs iterated-sweep CSF extraction: the subset construction
-     runs once outside the timed region, so the group times only the
-     extraction itself (the two are language-equivalent; the differential
-     suite proves it) *)
-  let row = Circuits.Suite.find "t298" in
-  let _, p =
-    Equation.Split.problem row.Circuits.Suite.net
-      ~x_latches:row.Circuits.Suite.x_latches
-  in
-  let arena, _ = Equation.Partitioned.solve_arena p in
-  run_group "ablation: CSF extraction, worklist vs sweeps (t298)"
-    [ Test.make ~name:"worklist on the arc arena"
-        (Staged.stage (fun () ->
-             ignore (Equation.Csf.of_arena p arena : Fsa.Automaton.t * int)));
-      (* the sweep needs a materialized automaton first, which is part of
-         its cost on the solve path — both arms start from the arena *)
-      Test.make ~name:"iterated full sweeps (reference)"
-        (Staged.stage (fun () ->
-             ignore
-               (Equation.Csf.csf_sweep p (Equation.Engine.to_automaton arena)
-                 : Fsa.Automaton.t))) ]
-
-(* Per-row companion to the t298 ablation above: every Table-1 row's
-   partitioned arena, worklist vs sweeps, CPU-timed with adaptive
-   repetition. The paper's rows differ wildly in CSF shape (t298 deletes
-   80 of 129 states, t444 deletes none of 980), so one row is not
-   representative. *)
-let csf_rows () =
-  let time_cpu f =
-    let reps = ref 1 in
-    let rec go () =
-      let t0 = Sys.time () in
-      for _ = 1 to !reps do
-        f ()
-      done;
-      let dt = Sys.time () -. t0 in
-      if dt >= 0.2 || !reps >= 65536 then dt /. float_of_int !reps
-      else begin
-        reps := !reps * 4;
-        go ()
-      end
-    in
-    go ()
-  in
-  Printf.printf "\n== CSF extraction per Table-1 row (partitioned arena) ==\n";
-  Printf.printf "  %-6s %9s %9s %9s %11s\n" "row" "states" "deleted"
-    "worklist" "sweeps";
-  List.iter
-    (fun row ->
-      let _, p =
-        Equation.Split.problem row.Circuits.Suite.net
-          ~x_latches:row.Circuits.Suite.x_latches
-      in
-      let arena, _ = Equation.Partitioned.solve_arena p in
-      let _, deletions = Equation.Csf.of_arena p arena in
-      let wl =
-        time_cpu (fun () ->
-            ignore (Equation.Csf.of_arena p arena : Fsa.Automaton.t * int))
-      in
-      let sw =
-        time_cpu (fun () ->
-            ignore
-              (Equation.Csf.csf_sweep p (Equation.Engine.to_automaton arena)
-                : Fsa.Automaton.t))
-      in
-      Printf.printf "  %-6s %9d %9d %7.1fus %9.1fus\n"
-        row.Circuits.Suite.name
-        (Equation.Engine.num_states arena)
-        deletions (wl *. 1e6) (sw *. 1e6);
-      flush stdout)
-    (Circuits.Suite.table1 ())
 
 let ablation_completion () =
   (* Theorem 1 / Corollary 1: deferring the completion of F *)
@@ -409,20 +314,14 @@ let () =
   let args = Array.to_list Sys.argv in
   let quick = List.mem "--quick" args in
   let table_only = List.mem "--table-only" args in
-  let csf_only = List.mem "--csf-rows" args in
-  if csf_only then csf_rows ()
-  else begin
   if not quick then table1 ();
   if not table_only then begin
     fig3_bench ();
     solve_bench ();
     ablation_quantification ();
     ablation_clustering ();
-    ablation_q_mode ();
-    ablation_csf ();
     ablation_completion ();
     ablation_affinity ();
     ablation_gc_threshold ();
     ablation_order ()
-  end
   end

@@ -257,7 +257,7 @@ let prefix_close (t : A.t) =
   if not t.accepting.(t.initial) then A.empty t.man ~alphabet:t.alphabet
   else trim (remap t (Array.copy t.accepting))
 
-let progressive ?(on_pass = fun () -> ()) (t : A.t) ~inputs =
+let progressive (t : A.t) ~inputs =
   let man = t.man in
   M.with_frozen man @@ fun () ->
   let outputs = List.filter (fun v -> not (List.mem v inputs)) t.alphabet in
@@ -275,7 +275,6 @@ let progressive ?(on_pass = fun () -> ()) (t : A.t) ~inputs =
   in
   let changed = ref true in
   while !changed do
-    on_pass ();
     changed := false;
     for s = 0 to n - 1 do
       if alive.(s) && not (ok s) then begin

@@ -58,15 +58,12 @@ val prefix_close : Automaton.t -> Automaton.t
     edges touching them). Returns the empty automaton when the initial state
     is non-accepting. *)
 
-val progressive :
-  ?on_pass:(unit -> unit) -> Automaton.t -> inputs:int list -> Automaton.t
+val progressive : Automaton.t -> inputs:int list -> Automaton.t
 (** Largest sub-automaton in which every state is input-progressive: for
     every assignment of [inputs] some outgoing transition (for some
     assignment of the remaining alphabet variables) exists. States violating
     the condition are removed iteratively (the paper's [Progressive(X, u)]).
-    Returns the empty automaton when the initial state is removed.
-    [on_pass] runs at the start of every deletion sweep — callers use it to
-    enforce a resource budget on the iteration. *)
+    Returns the empty automaton when the initial state is removed. *)
 
 val normalize_edges : Automaton.t -> Automaton.t
 (** Merge parallel edges to the same destination into one guard. *)

@@ -14,8 +14,6 @@ val band : Manager.t -> int -> int -> int
 val bor : Manager.t -> int -> int -> int
 val bxor : Manager.t -> int -> int -> int
 val bxnor : Manager.t -> int -> int -> int
-val bimp : Manager.t -> int -> int -> int
-(** [bimp m f g] is [¬f ∨ g]. *)
 
 val bdiff : Manager.t -> int -> int -> int
 (** [bdiff m f g] is [f ∧ ¬g]. *)

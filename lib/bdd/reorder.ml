@@ -87,8 +87,3 @@ let reorder m ?hyperedges roots =
   let dst, var_map = manager_with_order m order in
   let roots' = migrate ~src:m ~dst ~var_map roots in
   (dst, roots', var_map)
-
-let size_with_order m ~order roots =
-  let dst, var_map = manager_with_order m order in
-  let roots' = migrate ~src:m ~dst ~var_map roots in
-  O.size_shared dst roots'

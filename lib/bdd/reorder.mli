@@ -29,7 +29,3 @@ val reorder :
 (** [reorder man roots] creates a fresh manager ordered by {!force_order},
     migrates the roots, and returns [(new_manager, new_roots, var_map)].
     Variable names are preserved. *)
-
-val size_with_order : Manager.t -> order:int list -> int list -> int
-(** Shared node count the roots would have under the given order (builds
-    and discards a scratch manager). Useful to evaluate candidate orders. *)

@@ -84,15 +84,3 @@ let load m ?(import_names = false) ?(var_map = fun v -> v) text =
   match !roots with
   | Some r -> r
   | None -> failwith "Serialize.load: missing roots line"
-
-let dump_file path m roots =
-  let oc = open_out path in
-  output_string oc (dump m roots);
-  close_out oc
-
-let load_file m ?import_names ?var_map path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  load m ?import_names ?var_map text

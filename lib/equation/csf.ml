@@ -3,7 +3,6 @@ module O = Bdd.Ops
 module A = Fsa.Automaton
 
 let c_deletions = Obs.Counter.make "csf.worklist_deletions"
-let c_passes = Obs.Counter.make "csf.passes"
 
 let enter_csf runtime =
   Option.iter (fun rt -> Runtime.enter_phase rt Runtime.Csf) runtime
@@ -153,20 +152,5 @@ let of_arena ?runtime (p : Problem.t) (a : Engine.arena) =
 
 let csf ?runtime (p : Problem.t) x =
   fst (of_arena ?runtime p (Engine.arena_of_automaton x))
-
-(* The pre-worklist reference implementation: iterated full sweeps over a
-   materialized automaton. Kept for the worklist-vs-sweep differential
-   oracle and as the complexity baseline quoted in DESIGN.md. *)
-let csf_sweep ?runtime (p : Problem.t) x =
-  enter_csf runtime;
-  let tick = Runtime.ticker runtime in
-  let on_pass () =
-    if !Obs.on then Obs.Counter.bump c_passes;
-    tick ()
-  in
-  tick ();
-  let closed = Fsa.Ops.prefix_close x in
-  tick ();
-  Fsa.Ops.progressive ~on_pass closed ~inputs:(Problem.x_input_vars p)
 
 let num_states = Fsa.Automaton.num_states

@@ -7,7 +7,8 @@
     once, and a deletion re-examines only the deleted state's predecessors.
     This replaces the iterated full sweeps of the automaton-level
     [Fsa.Ops.prefix_close]/[Fsa.Ops.progressive] composition
-    (O(passes × states × arcs)); the result is converted to a validated
+    (O(passes × states × arcs)), which the test suite keeps as the
+    reference the worklist is checked against; the result is converted to a validated
     [Fsa.Automaton] only after the final trim. Deletions are counted on the
     [csf.worklist_deletions] observability counter. *)
 
@@ -27,13 +28,6 @@ val csf : ?runtime:Runtime.t -> Problem.t -> Fsa.Automaton.t -> Fsa.Automaton.t
     respect to the [u] variables), then trims — {!of_arena} over
     {!Engine.arena_of_automaton}, for automata built outside the
     engine. *)
-
-val csf_sweep :
-  ?runtime:Runtime.t -> Problem.t -> Fsa.Automaton.t -> Fsa.Automaton.t
-(** The pre-worklist reference implementation: [Fsa.Ops.prefix_close]
-    followed by iterated [Fsa.Ops.progressive] sweeps. Language-equivalent
-    to {!csf}; kept as the differential oracle for the worklist and as the
-    complexity baseline (it still bumps [csf.passes] per sweep). *)
 
 val num_states : Fsa.Automaton.t -> int
 (** The "States(X)" column of Table 1. *)

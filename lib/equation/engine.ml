@@ -1,11 +1,10 @@
 module M = Bdd.Manager
 module O = Bdd.Ops
 
-(* The engine is the single registration point of the construction-wide
-   counters both flows bump; the CI guards that these names are not
+(* The engine is the single registration point of the subset-state
+   counter both flows bump; the CI guards that the name is not
    re-registered elsewhere in lib/. *)
 let c_expanded = Obs.Counter.make "subset.states_expanded"
-let c_image = Obs.Counter.make "image.calls"
 
 type target = State of int | Sink of int
 
@@ -36,18 +35,6 @@ type arena = {
 
 let num_states a = Array.length a.accepting
 let num_arcs a = Array.length a.arc_src
-
-let note_image ?runtime () =
-  if !Obs.on then Obs.Counter.bump c_image;
-  Option.iter Runtime.tick_image runtime
-
-let image ?runtime man ~strategy rels ~quantify =
-  note_image ?runtime ();
-  match strategy with
-  | Img.Image.Monolithic ->
-    Img.Quantify.monolithic_and_exists man rels ~quantify
-  | Img.Image.Partitioned order ->
-    Img.Quantify.and_exists_list man ~order rels ~quantify
 
 let run ?runtime ?on_state man ~alphabet make_oracle =
   let enter ph = Option.iter (fun rt -> Runtime.enter_phase rt ph) runtime in

@@ -78,25 +78,6 @@ type arena = {
 val num_states : arena -> int
 val num_arcs : arena -> int
 
-val note_image : ?runtime:Runtime.t -> unit -> unit
-(** Account one image computation: bumps the unified [image.calls]
-    counter (the engine is its sole registration point) and, with
-    [runtime], fires {!Runtime.tick_image}. Oracles call this once per
-    image; {!Verify} uses the counter-only form so its fixpoint images
-    share the same name without entering the fault-injection path. *)
-
-val image :
-  ?runtime:Runtime.t ->
-  Bdd.Manager.t ->
-  strategy:Img.Image.strategy ->
-  int list ->
-  quantify:int list ->
-  int
-(** One accounted image computation ({!note_image}): conjoin the
-    relations and existentially quantify [quantify], dispatched on the
-    strategy — the inner step every oracle and the verification fixpoints
-    share. *)
-
 val run :
   ?runtime:Runtime.t ->
   ?on_state:(int -> unit) ->

@@ -81,8 +81,8 @@ let oracle ?runtime ~hidden_size (p : Problem.t) rs =
   (* traditional subset construction: one image per expanded state, no
      early trimming of bad subsets *)
   let successors ~split zeta =
-    Engine.note_image ?runtime ();
-    let p_rel = O.and_exists man cs_cube hidden zeta in
+    Option.iter Runtime.tick_image runtime;
+    let p_rel = Img.Image.fused_image man ~cube:cs_cube hidden zeta in
     M.stack_push man p_rel;
     let domain = O.exists man ns_cube p_rel in
     M.stack_push man domain;

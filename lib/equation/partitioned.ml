@@ -3,19 +3,15 @@ module O = Bdd.Ops
 
 type stats = { subset_states : int; image_computations : int; peak_nodes : int }
 
-type q_mode = Per_output | Combined
-
-(* Bench ablation: adjacent clustering at thresholds 1/100/1000/10000 gives
-   145/59/63/91 ms on t298 — the sweet spot is a few hundred nodes. The
-   affinity variant keeps the same threshold but merges by support overlap
-   instead of list adjacency. *)
+(* Bench ablation on t298: the sweet spot of the clustering threshold is a
+   few hundred nodes (EXPERIMENTS.md). *)
 let default_clustering = Img.Partition.Affinity 500
 
 (* sink positions in the oracle's sink table *)
 let dcn = 0
 and dca = 1
 
-let oracle ?runtime ~strategy ~q_mode ~clustering ~images (p : Problem.t) rs =
+let oracle ?runtime ~strategy ~clustering ~images (p : Problem.t) rs =
   let man = p.Problem.man in
   let pin id = ignore (M.Roots.add rs id : int) in
   let quantified = Problem.hidden_inputs p @ Problem.state_vars p in
@@ -35,33 +31,19 @@ let oracle ?runtime ~strategy ~q_mode ~clustering ~images (p : Problem.t) rs =
   List.iter pin non_conformance;
   let conjoin_exists rels =
     incr images;
-    Engine.image ?runtime man ~strategy rels ~quantify:quantified
+    Option.iter Runtime.tick_image runtime;
+    Img.Image.image strategy man rels ~quantify:quantified
   in
   (* Q_ζ(u,v): symbols under which some input causes an output of F that
-     does not conform to S. [Per_output] computes one image per output, as
-     described in the paper; [Combined] disjoins the per-output
-     non-conformance conditions once (they range over (i,v,cs) only — the
-     dangerous ns variables are not involved) and runs a single image. *)
+     does not conform to S. The paper computes one image per output; the
+     per-output non-conformance conditions range over (i,v,cs) only — the
+     dangerous ns variables are not involved — so they are disjoined once
+     and every subset state runs a single image instead. *)
   let combined_non_conformance =
     lazy (M.Roots.add rs (O.disj man non_conformance))
   in
   let non_conforming zeta =
-    match q_mode with
-    | Per_output ->
-      (* each per-output image result must survive the remaining images *)
-      let qs =
-        List.map
-          (fun ncj ->
-            let qj = conjoin_exists (zeta :: ncj :: urel) in
-            M.stack_push man qj;
-            qj)
-          non_conformance
-      in
-      let q = O.disj man qs in
-      M.stack_drop man (List.length qs);
-      q
-    | Combined ->
-      conjoin_exists (zeta :: Lazy.force combined_non_conformance :: urel)
+    conjoin_exists (zeta :: Lazy.force combined_non_conformance :: urel)
   in
   let successors ~split zeta =
     (* per-iteration intermediates ride the operation stack: each one is an
@@ -93,20 +75,17 @@ let oracle ?runtime ~strategy ~q_mode ~clustering ~images (p : Problem.t) rs =
     successors;
     is_accepting = (fun _ -> true) }
 
-let solve_arena ?runtime ?(strategy = Img.Image.Partitioned Img.Quantify.Greedy)
-    ?(q_mode = Combined) ?(clustering = default_clustering) ?on_state
-    (p : Problem.t) =
+let solve_arena ?runtime ?(strategy = Img.Image.default)
+    ?(clustering = default_clustering) ?on_state (p : Problem.t) =
   let images = ref 0 in
   let arena, subset_states =
     Engine.run ?runtime ?on_state p.Problem.man ~alphabet:(Problem.alphabet p)
-      (oracle ?runtime ~strategy ~q_mode ~clustering ~images p)
+      (oracle ?runtime ~strategy ~clustering ~images p)
   in
   ( arena,
     { subset_states; image_computations = !images;
       peak_nodes = M.peak_live_nodes p.Problem.man } )
 
-let solve ?runtime ?strategy ?q_mode ?clustering ?on_state p =
-  let arena, stats =
-    solve_arena ?runtime ?strategy ?q_mode ?clustering ?on_state p
-  in
+let solve ?runtime ?strategy ?clustering ?on_state p =
+  let arena, stats = solve_arena ?runtime ?strategy ?clustering ?on_state p in
   (Engine.to_automaton arena, stats)

@@ -8,7 +8,8 @@
     - for each subset state [ζ(cs)], the non-conformance condition
       [Q_ζ(u,v) = ∃i,cs (Urel ∧ ¬C ∧ ζ)] redirects symbols to the
       non-accepting sink [DCN] (the early trimming justified by the paper's
-      prefix-closedness argument);
+      prefix-closedness argument); it is one image per subset state over
+      the disjoined per-output conditions [¬C], not one image per output;
     - the successor relation
       [P_ζ(u,v,ns) = ∃i,cs (Urel ∧ Trel ∧ ζ) ∧ ¬Q_ζ] is computed by the
       partitioned image engine with early quantification and split into
@@ -26,12 +27,6 @@ type stats = {
   peak_nodes : int;     (** manager node count after solving *)
 }
 
-type q_mode =
-  | Per_output  (** one image computation per output, as in the paper text *)
-  | Combined
-      (** disjoin the per-output non-conformance conditions once and run a
-          single image per subset state (default; same result) *)
-
 val default_clustering : Img.Partition.clustering
 (** [Affinity 500] — affinity-based clustering under a 500-node threshold,
     the bench-ablated sweet spot (see EXPERIMENTS.md). *)
@@ -39,25 +34,25 @@ val default_clustering : Img.Partition.clustering
 val solve :
   ?runtime:Runtime.t ->
   ?strategy:Img.Image.strategy ->
-  ?q_mode:q_mode ->
   ?clustering:Img.Partition.clustering ->
   ?on_state:(int -> unit) ->
   Problem.t ->
   Fsa.Automaton.t * stats
-(** With [runtime], the solver ticks the runtime through the [Build]
-    (relation clustering) and [Subset] phases: {!Budget.Exceeded} is raised
-    past the deadline and {!Bdd.Manager.Node_limit_exceeded} past the node
-    budget (or at an injected fault), with partial progress recorded on the
-    runtime. [clustering] (default {!default_clustering}) pre-clusters the
-    relation parts before the subset construction;
-    [Img.Partition.No_clustering] keeps one conjunct per latch/output.
+(** [strategy] (default {!Img.Image.default}) is the image schedule of
+    every subset state's two images. With [runtime], the solver ticks the
+    runtime through the [Build] (relation clustering) and [Subset] phases:
+    {!Runtime.Deadline_exceeded} is raised past the deadline and
+    {!Bdd.Manager.Node_limit_exceeded} past the node budget (or at an
+    injected fault), with partial progress recorded on the runtime.
+    [clustering] (default {!default_clustering}) pre-clusters the relation
+    parts before the subset construction; [Img.Partition.No_clustering]
+    keeps one conjunct per latch/output.
     [on_state] is a progress callback invoked with each subset state index
     as it is expanded. *)
 
 val solve_arena :
   ?runtime:Runtime.t ->
   ?strategy:Img.Image.strategy ->
-  ?q_mode:q_mode ->
   ?clustering:Img.Partition.clustering ->
   ?on_state:(int -> unit) ->
   Problem.t ->

@@ -4,12 +4,16 @@
     A {!t} owns the whole resource story of one [solve_split] call: the
     CPU deadline, the BDD node budget, the phase the solver is currently
     in, and an optional injected fault. Every long-running loop in the
-    solver calls {!tick} (replacing the scattered [Budget.check] calls of
-    earlier revisions); image computations additionally call
-    {!tick_image}. Blow-ups surface as {!Budget.Exceeded} (deadline) or
+    solver calls {!tick}; image computations additionally call
+    {!tick_image}. Blow-ups surface as {!Deadline_exceeded} (deadline) or
     {!Bdd.Manager.Node_limit_exceeded} (node budget / injected fault),
     which {!Solve.solve_split} converts into its graceful-degradation
     ladder and, ultimately, a structured "could not complete" outcome. *)
+
+exception Deadline_exceeded
+(** The CPU deadline has passed (or a [Deadline_at] fault fired): the
+    solve becomes a "could not complete" (CNC) outcome, as in the paper's
+    Table 1. *)
 
 type phase =
   | Build  (** problem construction and relation building *)
@@ -31,7 +35,7 @@ module Fault : sig
         (** raise {!Bdd.Manager.Node_limit_exceeded} at the Kth image
             computation after {!attach} *)
     | Deadline_at of phase
-        (** simulate deadline expiry ({!Budget.Exceeded}) on the first
+        (** simulate deadline expiry ({!Deadline_exceeded}) on the first
             tick inside the given phase *)
 
   type t
@@ -94,7 +98,7 @@ val tick : t -> unit
 (** The cheap strided check placed in every solver loop: fires a pending
     [Deadline_at] fault for the current phase, and every 32nd call
     compares [Sys.time ()] against the deadline, raising
-    {!Budget.Exceeded} past it. *)
+    {!Deadline_exceeded} past it. *)
 
 val tick_image : t -> unit
 (** {!tick} plus the per-attempt image counter; fires a pending
@@ -120,10 +124,6 @@ val images : t -> int
 
 val deadline : t -> float option
 val node_limit : t -> int option
-
-val remaining_time : t -> float option
-(** Seconds left before the deadline ([Some 0.] once expired); [None]
-    without a deadline. *)
 
 val ticker : t option -> unit -> unit
 (** [ticker (Some rt)] is [fun () -> tick rt]; [ticker None] is a no-op.

@@ -11,7 +11,10 @@
     + clear the operation caches, migrate the instance to a FORCE-reordered
       fresh manager ({!Problem.reorder}) and retry the partitioned strategy
       (up to [retries] times, default 1);
-    + fall back to the alternative early-quantification schedule;
+    + fall back to the alternative kernel: the other early-quantification
+      schedule on the other clustering (greedy on the affinity clusters
+      ↔ given on the unclustered partition; label ["partitioned/given"]
+      from the default);
     + fall back to the [Monolithic] method;
     + report {!Could_not_complete} with the full attempt history.
 
@@ -29,13 +32,12 @@ val default_partitioned : method_
 (** [Partitioned (Partitioned Greedy)] — the configuration the paper
     advocates. *)
 
-val method_label : method_ -> string
-(** Short human-readable label, e.g. ["partitioned/greedy"]. *)
-
 (** One failed solve attempt, oldest first in the histories below. *)
 type attempt = {
   label : string;
-      (** which rung: {!method_label}, ["gc-retry"] or ["reorder-retry"] *)
+      (** which rung: ["partitioned/greedy"], ["partitioned/given"],
+          ["partitioned/mono-image"], ["monolithic"], ["gc-retry"] or
+          ["reorder-retry"] *)
   kernel : string;
       (** image-kernel configuration of the rung — clustering and
           quantification schedule, e.g. ["affinity:500/greedy"],
@@ -59,8 +61,9 @@ type progress = {
 type report = {
   method_ : method_;  (** the method that was requested *)
   solved_by : string;
-      (** label of the attempt that succeeded (equals
-          [method_label method_] when no fallback was needed) *)
+      (** label of the attempt that succeeded (the requested method's
+          label, e.g. ["partitioned/greedy"], when no fallback was
+          needed) *)
   problem : Problem.t;
   split : Split.t;
   solution : Fsa.Automaton.t;  (** most general prefix-closed solution *)
@@ -114,4 +117,5 @@ val solve_split :
 val verify : ?runtime:Runtime.t -> report -> bool * bool
 (** [(particular_contained, composition_equals_spec)] for a completed run.
     With [runtime], verification runs in the [Verify] phase under the
-    runtime's budget instead of unbounded. *)
+    runtime's budget instead of unbounded; without it, the checks run
+    inside a ["phase.verify"] span of their own. *)

@@ -60,9 +60,7 @@ let particular_contained ?runtime (p : Problem.t) (sp : Split.t) (x : A.t) =
     !ok
   end
 
-let composition_with_machine ?runtime
-    ?(strategy = Img.Image.Partitioned Img.Quantify.Greedy) (p : Problem.t)
-    (machine : Machine.t) =
+let composition_with_machine ?runtime (p : Problem.t) (machine : Machine.t) =
   enter_verify runtime;
   let tick = Runtime.ticker runtime in
   let man = p.Problem.man in
@@ -123,11 +121,12 @@ let composition_with_machine ?runtime
     @ Problem.state_vars p @ x_sym.NS.state_vars
   in
   let rename_pairs = Problem.ns_to_cs p @ NS.ns_to_cs x_sym in
-  (* counter-only accounting ([Engine.image] without the runtime): the
-     fixpoint images share the unified [image.calls] name but stay out of
-     the fault-injection path *)
+  (* no [Runtime.tick_image]: the fixpoint images count under
+     [image.calls] but stay out of the fault-injection path *)
   let image frontier =
-    let img = Engine.image man ~strategy (frontier :: parts) ~quantify in
+    let img =
+      Img.Image.image Img.Image.default man (frontier :: parts) ~quantify
+    in
     M.stack_push man img;
     let renamed = O.rename man img rename_pairs in
     M.stack_drop man 1;
@@ -176,9 +175,7 @@ let composition_with_machine ?runtime
   in
   loop ()
 
-let composition_equals_spec ?runtime
-    ?(strategy = Img.Image.Partitioned Img.Quantify.Greedy)
-    (p : Problem.t) (sp : Split.t) =
+let composition_equals_spec ?runtime (p : Problem.t) (sp : Split.t) =
   enter_verify runtime;
   let tick = Runtime.ticker runtime in
   let man = p.Problem.man in
@@ -215,7 +212,9 @@ let composition_equals_spec ?runtime
     Problem.ns_to_cs p @ List.combine p.Problem.u_vars p.Problem.v_vars
   in
   let image frontier =
-    let img = Engine.image man ~strategy (frontier :: parts) ~quantify in
+    let img =
+      Img.Image.image Img.Image.default man (frontier :: parts) ~quantify
+    in
     M.stack_push man img;
     let renamed = O.rename man img rename_pairs in
     M.stack_drop man 1;

@@ -9,9 +9,11 @@
 
     Each check accepts an optional {!Runtime.t}: it then runs in the
     [Verify] phase under the runtime's time/node budget (one tick per
-    explored state or reachability iteration), raising {!Budget.Exceeded}
-    or {!Bdd.Manager.Node_limit_exceeded} instead of running unbounded
-    after the deadline has expired. *)
+    explored state or reachability iteration), raising
+    {!Runtime.Deadline_exceeded} or {!Bdd.Manager.Node_limit_exceeded}
+    instead of running unbounded after the deadline has expired. Every
+    reachability step is one {!Img.Image.image} under
+    {!Img.Image.default}. *)
 
 val particular_contained :
   ?runtime:Runtime.t -> Problem.t -> Split.t -> Fsa.Automaton.t -> bool
@@ -21,7 +23,6 @@ val particular_contained :
 
 val composition_equals_spec :
   ?runtime:Runtime.t ->
-  ?strategy:Img.Image.strategy ->
   Problem.t ->
   Split.t ->
   bool
@@ -32,7 +33,6 @@ val composition_equals_spec :
 
 val composition_with_machine :
   ?runtime:Runtime.t ->
-  ?strategy:Img.Image.strategy ->
   Problem.t ->
   Machine.t ->
   bool

@@ -68,11 +68,9 @@ val print_table1 : Format.formatter -> row_result list -> unit
 (** The paper's Table 1 layout: Name, i/o/cs, Fcs/Xcs, States(X), Part,s,
     Mono,s, Ratio (with CNC entries where a run exhausted its budget). *)
 
-val attempts_of : Equation.Solve.outcome -> Equation.Solve.attempt list
-(** The failed attempts behind an outcome (empty for a first-try success). *)
-
 val fallbacks_of : Equation.Solve.outcome -> int
-(** [List.length (attempts_of outcome)]. *)
+(** Number of failed attempts behind an outcome (0 for a first-try
+    success). *)
 
 val describe_attempt : Equation.Solve.attempt -> string
 (** One-line human-readable description of a failed attempt. *)

@@ -49,16 +49,14 @@ let setup net1 net2 =
   in
   (man, i_vars, sym1, sym2)
 
-let check ?(strategy = Image.Partitioned Quantify.Greedy) net1 net2 =
+let check net1 net2 =
   let man, i_vars, sym1, sym2 = setup net1 net2 in
   (* the onion of frontiers and the relation parts live in plain OCaml
      lists for the whole exploration; freeze rather than pin piecemeal —
      equivalence checking is an oracle, not the solver's hot path *)
   M.with_frozen man @@ fun () ->
   let parts = S.transition_parts sym1 @ S.transition_parts sym2 in
-  let rel_parts =
-    List.map (fun (v, fn) -> O.bxnor man (O.var_bdd man v) fn) parts
-  in
+  let relation = Partition.of_functions man parts in
   let cs_vars = sym1.S.state_vars @ sym2.S.state_vars in
   let ns_to_cs = S.ns_to_cs sym1 @ S.ns_to_cs sym2 in
   (* output mismatch condition over (i, cs1, cs2), matched by name *)
@@ -71,16 +69,8 @@ let check ?(strategy = Image.Partitioned Quantify.Greedy) net1 net2 =
   let i_cube = O.cube_of_vars man i_vars in
   let bad_states = O.exists man i_cube diff in
   let image frontier =
-    let img =
-      match strategy with
-      | Image.Monolithic ->
-        Quantify.monolithic_and_exists man (frontier :: rel_parts)
-          ~quantify:(i_vars @ cs_vars)
-      | Image.Partitioned order ->
-        Quantify.and_exists_list man ~order (frontier :: rel_parts)
-          ~quantify:(i_vars @ cs_vars)
-    in
-    O.rename man img ns_to_cs
+    Image.forward_image Image.default relation ~inputs:i_vars
+      ~state_vars:cs_vars ~ns_to_cs ~care:frontier
   in
   let init = O.band man sym1.S.init_cube sym2.S.init_cube in
   (* onion of frontiers for counterexample reconstruction *)

@@ -11,14 +11,10 @@ type result =
           the first network's PI order; feeding it to both networks makes
           their outputs differ at the last cycle *)
 
-val check :
-  ?strategy:Image.strategy ->
-  Network.Netlist.t ->
-  Network.Netlist.t ->
-  result
+val check : Network.Netlist.t -> Network.Netlist.t -> result
 (** Exact check. The networks must have the same input and output names
     (matching is by name, order-independent); raises [Invalid_argument]
-    otherwise. *)
+    otherwise. Each reachability step is one {!Image.forward_image}. *)
 
 val random_search :
   ?rounds:int ->

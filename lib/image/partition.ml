@@ -12,24 +12,6 @@ let of_functions man pairs =
 
 let of_relations man parts = { man; parts }
 
-let cluster t ~threshold =
-  if threshold <= 1 then t
-  else begin
-    Bdd.Manager.with_frozen t.man @@ fun () ->
-    let rec go acc current = function
-      | [] -> List.rev (match current with None -> acc | Some c -> c :: acc)
-      | p :: rest -> (
-        match current with
-        | None -> go acc (Some p) rest
-        | Some c ->
-          let candidate = O.band t.man c p in
-          if O.size t.man candidate <= threshold then
-            go acc (Some candidate) rest
-          else go (c :: acc) (Some p) rest)
-    in
-    { t with parts = go [] None t.parts }
-  end
-
 (* Support-overlap (Jaccard) affinity of two conjuncts. Constant parts have
    empty support; give them affinity 1 so they merge away for free. *)
 let jaccard s1 s2 =
@@ -90,16 +72,14 @@ let cluster_affinity t ~threshold =
     { t with parts = List.map fst !items }
   end
 
-type clustering = No_clustering | Adjacent of int | Affinity of int
+type clustering = No_clustering | Affinity of int
 
 let apply t = function
   | No_clustering -> t
-  | Adjacent threshold -> cluster t ~threshold
   | Affinity threshold -> cluster_affinity t ~threshold
 
 let describe_clustering = function
   | No_clustering -> "unclustered"
-  | Adjacent threshold -> Printf.sprintf "adjacent:%d" threshold
   | Affinity threshold -> Printf.sprintf "affinity:%d" threshold
 
 let monolithic t =
@@ -107,5 +87,3 @@ let monolithic t =
   let r = O.conj t.man t.parts in
   Bdd.Manager.stack_drop t.man (List.length t.parts);
   r
-
-let size t = O.size_shared t.man t.parts

@@ -1,5 +1,5 @@
 (** Partitioned transition relations [{T_k(i, cs, ns_k) = ns_k ↔ T_k(i,cs)}]
-    and clustering (conjoining adjacent parts up to a size threshold, the
+    and affinity clustering (conjoining parts up to a size threshold, the
     usual middle ground between fully-partitioned and monolithic). *)
 
 type t = {
@@ -14,32 +14,22 @@ val of_functions : Bdd.Manager.t -> (int * int) list -> t
 
 val of_relations : Bdd.Manager.t -> int list -> t
 
-val cluster : t -> threshold:int -> t
-(** Greedily conjoin consecutive parts while the BDD of the cluster stays
-    under [threshold] nodes. [threshold <= 1] keeps the partition as is. *)
-
-val cluster_affinity : t -> threshold:int -> t
-(** Affinity-based clustering: repeatedly conjoin the pair of parts with the
-    highest support-overlap (Jaccard) affinity, accepting a merge only while
-    the cluster BDD stays under [threshold] nodes; rejected pairs are never
-    retried. Unlike {!cluster} this is order-independent — parts that track
-    the same variables merge even when they are not adjacent in the list.
-    [threshold <= 1] keeps the partition as is. *)
-
 (** How to pre-cluster a partition before image computations. *)
 type clustering =
   | No_clustering  (** fully partitioned, one conjunct per latch/output *)
-  | Adjacent of int  (** {!cluster} under the given node threshold *)
-  | Affinity of int  (** {!cluster_affinity} under the given node threshold *)
+  | Affinity of int
+      (** repeatedly conjoin the pair of parts with the highest
+          support-overlap (Jaccard) affinity, accepting a merge only while
+          the cluster BDD stays under the given node threshold; rejected
+          pairs are never retried, and parts that track the same variables
+          merge whatever their position in the list. A threshold [<= 1]
+          keeps the partition as is. *)
 
 val apply : t -> clustering -> t
 
 val describe_clustering : clustering -> string
-(** ["unclustered"], ["adjacent:N"] or ["affinity:N"] — used in traces and
-    attempt reports. *)
+(** ["unclustered"] or ["affinity:N"] — used in traces and attempt
+    reports. *)
 
 val monolithic : t -> int
 (** The full conjunction (the representation the paper avoids). *)
-
-val size : t -> int
-(** Shared node count of all parts. *)

@@ -1,7 +1,7 @@
 module M = Bdd.Manager
 module O = Bdd.Ops
 
-type order = Given | Greedy | Lifetime
+type order = Given | Greedy
 
 let c_conj = Obs.Counter.make "image.conjunctions"
 let g_peak_intermediate = Obs.Gauge.make "image.peak_intermediate"
@@ -29,30 +29,6 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
   Array.iter
     (fun supp -> List.iter (fun v -> if quantifiable v then bump v 1) supp)
     supports;
-  (* Static lifetime analysis ([Lifetime]): a quantifiable variable's
-     lifetime is the number of conjuncts mentioning it; a conjunct's cost is
-     the summed lifetime of its quantifiable variables. Processing cheap
-     conjuncts first retires rare variables at the earliest possible step,
-     and — unlike [Greedy] — the schedule is fixed before the sweep, so it
-     costs no per-step support rescans. *)
-  let lifetime_rank =
-    match order with
-    | Given | Greedy -> None
-    | Lifetime ->
-      let cost k =
-        List.fold_left
-          (fun acc v ->
-            if quantifiable v then
-              acc + Option.value ~default:0 (Hashtbl.find_opt occ v)
-            else acc)
-          0 supports.(k)
-      in
-      let keyed = Array.init (Array.length parts) (fun k -> (cost k, k)) in
-      Array.sort compare keyed;
-      let rank = Array.make (Array.length parts) 0 in
-      Array.iteri (fun pos (_, k) -> rank.(k) <- pos) keyed;
-      Some rank
-  in
   let acc = ref M.one in
   let acc_supp = ref [] in
   let score k =
@@ -85,15 +61,6 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
              best_score := s;
              best := k
            end
-         end
-       done
-     | Lifetime ->
-       let rank = Option.get lifetime_rank in
-       let best_rank = ref max_int in
-       for k = 0 to Array.length parts - 1 do
-         if not used.(k) && rank.(k) < !best_rank then begin
-           best_rank := rank.(k);
-           best := k
          end
        done);
     !best
@@ -142,16 +109,5 @@ let monolithic_and_exists m rels ~quantify =
   let cube = O.cube_of_vars m quantify in
   M.stack_push m cube;
   let r = O.exists m cube product in
-  M.stack_drop m (List.length rels + 2);
-  r
-
-let and_forall_list m ?order rels ~quantify =
-  ignore order;
-  List.iter (M.stack_push m) rels;
-  let product = O.conj m rels in
-  M.stack_push m product;
-  let cube = O.cube_of_vars m quantify in
-  M.stack_push m cube;
-  let r = O.forall m cube product in
   M.stack_drop m (List.length rels + 2);
   r

@@ -2,9 +2,8 @@ module M = Bdd.Manager
 module O = Bdd.Ops
 module S = Network.Symbolic
 
-let transition_partition ?(clustering = Partition.No_clustering) (sym : S.t) =
-  let p = Partition.of_functions sym.man (S.transition_parts sym) in
-  Partition.apply p clustering
+let transition_partition (sym : S.t) =
+  Partition.of_functions sym.man (S.transition_parts sym)
 
 let step strategy sym parts care =
   Image.forward_image strategy parts ~inputs:sym.S.input_vars
@@ -12,11 +11,10 @@ let step strategy sym parts care =
 
 (* Fixpoints protect the loop-carried set and re-pin it at each step, so
    the previous iterate becomes collectable the moment it is superseded. *)
-let reachable ?(strategy = Image.Partitioned Quantify.Greedy)
-    ?(clustering = Partition.No_clustering) (sym : S.t) =
+let reachable ?(strategy = Image.default) (sym : S.t) =
   let man = sym.S.man in
   M.with_roots man @@ fun rs ->
-  let parts = transition_partition ~clustering sym in
+  let parts = transition_partition sym in
   List.iter (fun f -> ignore (M.Roots.add rs f : int)) parts.Partition.parts;
   let r = ref sym.S.init_cube in
   M.protect man !r;
@@ -36,8 +34,7 @@ let reachable ?(strategy = Image.Partitioned Quantify.Greedy)
   done;
   !r
 
-let frontier_reachable ?(strategy = Image.Partitioned Quantify.Greedy)
-    (sym : S.t) =
+let frontier_reachable (sym : S.t) =
   let man = sym.S.man in
   M.with_roots man @@ fun rs ->
   let parts = transition_partition sym in
@@ -52,7 +49,7 @@ let frontier_reachable ?(strategy = Image.Partitioned Quantify.Greedy)
       M.release man !frontier)
   @@ fun () ->
   while !frontier <> M.zero do
-    let img = step strategy sym parts !frontier in
+    let img = step Image.default sym parts !frontier in
     M.stack_push man img;
     let fresh = O.bdiff man img !r in
     M.stack_push man fresh;

@@ -36,11 +36,6 @@ val mk_and : builder -> lit -> lit -> lit
 (** Structurally hashed; applies the constant/idempotence/complement
     simplifications ([x∧0], [x∧1], [x∧x], [x∧¬x]). *)
 
-val mk_or : builder -> lit -> lit -> lit
-val mk_xor : builder -> lit -> lit -> lit
-val mk_ite : builder -> lit -> lit -> lit -> lit
-
-val set_latch_next : builder -> int -> lit -> unit
 val add_output : builder -> string -> lit -> unit
 val freeze : builder -> t
 

@@ -170,8 +170,6 @@ let step t st inputs =
   in
   (outputs, next)
 
-let eval_net t st inputs id = (eval_all t st inputs).(id)
-
 let reachable_states ?(limit = 1 lsl 20) t =
   let ni = num_inputs t in
   if ni > 16 then

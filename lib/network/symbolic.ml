@@ -98,7 +98,3 @@ let transition_parts t = List.combine t.next_state_vars t.next_fns
 
 let cs_to_ns t = List.combine t.state_vars t.next_state_vars
 let ns_to_cs t = List.combine t.next_state_vars t.state_vars
-
-let eval_state t (st : Netlist.state) =
-  O.cube_of_literals t.man
-    (List.mapi (fun k v -> (v, st.(k))) t.state_vars)

@@ -57,6 +57,14 @@ let csf_of net x_latches =
   let solution, _ = Equation.Partitioned.solve p in
   (sp, p, Equation.Csf.csf p solution)
 
+(* the CSF by iterated full sweeps over a materialized automaton —
+   prefix closure, then progressive deletion passes until a fixpoint: the
+   reference the worklist extraction ([Csf.of_arena]) is checked
+   against *)
+let csf_sweep p x =
+  Fsa.Ops.progressive (Fsa.Ops.prefix_close x)
+    ~inputs:(Equation.Problem.x_input_vars p)
+
 (* assert that two roots (possibly in different managers over the same
    variable indices) denote the same Boolean function *)
 let check_same_function ?(nvars = default_nvars) msg m1 f1 m2 f2 =

@@ -42,28 +42,33 @@ let mismatch p =
          (E.Csf.num_states csf_part) (E.Csf.num_states csf_mono))
   else None
 
-(* Same oracle for the kernel configurations: the clustered solvers
-   (adjacent and affinity, including the default) must produce a CSF
-   language-equivalent to the unclustered one. *)
+(* Same oracle for the two image kernels the solve ladder runs — the
+   default (greedy schedule on affinity clusters) and the alternative rung
+   (given schedule, unclustered): each must produce a CSF
+   language-equivalent to the greedy unclustered one, hence to each
+   other. *)
 let mismatch_clustering p =
   let _, prob = E.Split.problem (netlist p) ~x_latches:(x_latches p) in
-  let csf_with clustering =
-    let sol, _ = E.Partitioned.solve ~clustering prob in
+  let csf_with (strategy, clustering) =
+    let sol, _ = E.Partitioned.solve ~strategy ~clustering prob in
     E.Csf.csf prob sol
   in
-  let reference = csf_with Img.Partition.No_clustering in
-  let check (name, clustering) =
-    let csf = csf_with clustering in
+  let reference = csf_with (Img.Image.default, Img.Partition.No_clustering) in
+  let check (name, kernel) =
+    let csf = csf_with kernel in
     if not (Fsa.Language.equivalent reference csf) then
       Some
         (Printf.sprintf
-           "clustered CSF (%s) differs from unclustered (%d vs %d states)"
+           "kernel %s CSF differs from greedy unclustered (%d vs %d states)"
            name (E.Csf.num_states csf) (E.Csf.num_states reference))
     else None
   in
   List.find_map check
-    [ ("adjacent:200", Img.Partition.Adjacent 200);
-      ("affinity:500 (default)", E.Partitioned.default_clustering) ]
+    [ ( "unclustered/given (ladder alternative)",
+        (Img.Image.Partitioned Img.Quantify.Given, Img.Partition.No_clustering)
+      );
+      ( "affinity:500/greedy (default)",
+        (Img.Image.default, E.Partitioned.default_clustering) ) ]
 
 (* GC oracle: a solve under the mark-and-sweep collector (forced to run
    often by a deliberately tiny initial store and a near-zero dead-ratio
@@ -99,13 +104,13 @@ let mismatch_gc p =
 
 (* Worklist-vs-sweep CSF oracle: the arena worklist extraction
    ([Csf.of_arena], the solve path) must be language-equivalent to the
-   sweep-based reference ([Csf.csf_sweep]) on the arenas both engine
+   sweep-based reference ([Helpers.csf_sweep]) on the arenas both engine
    oracles produce. *)
 let mismatch_worklist p =
   let _, prob = E.Split.problem (netlist p) ~x_latches:(x_latches p) in
   let check name arena =
     let worklist, _ = E.Csf.of_arena prob arena in
-    let sweep = E.Csf.csf_sweep prob (E.Engine.to_automaton arena) in
+    let sweep = Helpers.csf_sweep prob (E.Engine.to_automaton arena) in
     if not (Fsa.Language.equivalent worklist sweep) then
       Some
         (Printf.sprintf

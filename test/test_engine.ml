@@ -115,7 +115,7 @@ let test_worklist_csf_on_arena () =
   let _, p = E.Split.problem net ~x_latches:[ "x1"; "x2" ] in
   let arena, _ = E.Partitioned.solve_arena p in
   let worklist, deletions = E.Csf.of_arena p arena in
-  let sweep = E.Csf.csf_sweep p (E.Engine.to_automaton arena) in
+  let sweep = Helpers.csf_sweep p (E.Engine.to_automaton arena) in
   Alcotest.(check bool) "deletions non-negative" true (deletions >= 0);
   Alcotest.(check int) "same state count"
     (E.Csf.num_states sweep) (E.Csf.num_states worklist);
