@@ -405,6 +405,16 @@ let est_dead_ratio m =
   else
     float_of_int (m.n_entries - m.live_after_gc) /. float_of_int m.n_entries
 
+let may_collect m =
+  m.auto_gc && m.frozen = 0 && est_dead_ratio m >= m.gc_threshold
+
+(* a frozen section cannot collect, so a store that enters one nearly full
+   of dead nodes doubles instead: offer the collection before it does *)
+let collect_at_safe_point m =
+  if may_collect m && 4 * m.n_entries >= 3 * Array.length m.var_of then
+    collect m
+  else 0
+
 let mk m v lo hi =
   if lo = hi then lo
   else begin
@@ -446,16 +456,13 @@ let mk m v lo hi =
         slot := !h';
         swept
       in
-      let may_collect () =
-        m.auto_gc && m.frozen = 0 && est_dead_ratio m >= m.gc_threshold
-      in
       (* the node budget bounds *live* nodes: when the entry count hits the
          limit, reclaim dead entries first and only fail if the live set
          itself does not fit. [est_dead_ratio] drops to 0 right after a
          collection, so a saturated live set cannot thrash here. *)
       (match m.node_limit with
        | Some lim when m.n_entries >= lim ->
-         if may_collect () then begin
+         if may_collect m then begin
            ignore (collect_pinned () : int);
            if m.n_entries >= lim then raise Node_limit_exceeded
          end
@@ -471,7 +478,7 @@ let mk m v lo hi =
         end
         else begin
           if m.n_nodes >= Array.length m.var_of then begin
-            if may_collect () then begin
+            if may_collect m then begin
               let swept = collect_pinned () in
               (* anti-thrash: a collection that reclaimed under 1/8 of the
                  store would have us collecting again almost immediately *)

@@ -188,6 +188,15 @@ val collect : t -> int
     support-memo entries for dead ids are dropped. Live ids are never
     moved. Raises [Invalid_argument] inside {!with_frozen}. *)
 
+val collect_at_safe_point : t -> int
+(** Offer a collection before a section that will run {!with_frozen}:
+    collects (and returns the nodes swept) only when automatic
+    collection is on, the manager is not frozen, the store is at least
+    three quarters full and the estimated dead ratio reaches
+    {!gc_threshold}; otherwise does nothing and returns 0. Without it a
+    store that fills inside the frozen section doubles even when most of
+    it is dead. The same rooting rules as {!collect} apply. *)
+
 val set_auto_gc : t -> bool -> unit
 (** Enable or disable {!mk}-triggered collection (default: disabled —
     see the module docs on why collection is opt-in). Explicit

@@ -70,8 +70,13 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
   ignore (intern oracle.start : int);
   let split_memo = Subset.memo_table () in
   (* split into (guard, successor) classes, rename each successor back to
-     current-state space and pin it before any further allocation *)
+     current-state space and pin it before any further allocation. The
+     enumeration runs frozen; both oracles hold [p] and its domain pinned
+     when they call [split], so this is the last safe point to reclaim an
+     image's dead intermediates before a store that fills while frozen
+     doubles instead. *)
   let split p =
+    ignore (M.collect_at_safe_point man : int);
     List.map
       (fun (g, s) -> (g, State (M.Roots.add rs (O.rename man s oracle.rename))))
       (Subset.split_successors ?runtime ~memo:split_memo ~roots:rs man ~p

@@ -29,29 +29,35 @@ let oracle ?runtime ~strategy ~clustering ~images (p : Problem.t) rs =
     List.map (O.bnot man) (Problem.conformance_parts p)
   in
   List.iter pin non_conformance;
-  let conjoin_exists rels =
-    incr images;
-    Option.iter Runtime.tick_image runtime;
-    Img.Image.image strategy man rels ~quantify:quantified
-  in
   (* Q_ζ(u,v): symbols under which some input causes an output of F that
      does not conform to S. The paper computes one image per output; the
      per-output non-conformance conditions range over (i,v,cs) only — the
      dangerous ns variables are not involved — so they are disjoined once
      and every subset state runs a single image instead. *)
   let combined_non_conformance =
-    lazy (M.Roots.add rs (O.disj man non_conformance))
+    M.Roots.add rs (O.disj man non_conformance)
   in
-  let non_conforming zeta =
-    conjoin_exists (zeta :: Lazy.force combined_non_conformance :: urel)
+  (* both images are planned once per solve over their fixed parts; each
+     subset state only conjoins its ζ with the first planned part and runs
+     the and-exists chain *)
+  let plan parts =
+    Img.Image.plan strategy man ~roots:rs parts
+      ~care_support:(Problem.state_vars p) ~quantify:quantified
+  in
+  let q_plan = plan (combined_non_conformance :: urel) in
+  let sr_plan = plan (urel @ trel) in
+  let image plan zeta =
+    incr images;
+    Option.iter Runtime.tick_image runtime;
+    Img.Image.apply plan zeta
   in
   let successors ~split zeta =
     (* per-iteration intermediates ride the operation stack: each one is an
        operand of a later call in this iteration, and any allocation in
        between may trigger a collection *)
-    let q = non_conforming zeta in
+    let q = image q_plan zeta in
     M.stack_push man q;
-    let sr = conjoin_exists ((zeta :: urel) @ trel) in
+    let sr = image sr_plan zeta in
     M.stack_push man sr;
     let p_rel = O.bdiff man sr q in
     M.stack_drop man 1;

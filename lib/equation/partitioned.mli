@@ -39,8 +39,10 @@ val solve :
   Problem.t ->
   Fsa.Automaton.t * stats
 (** [strategy] (default {!Img.Image.default}) is the image schedule of
-    every subset state's two images. With [runtime], the solver ticks the
-    runtime through the [Build] (relation clustering) and [Subset] phases:
+    every subset state's two images; both are planned once per solve, in
+    the [Build] phase, and applied to each subset state. With [runtime],
+    the solver ticks the runtime through the [Build] (relation clustering
+    and image planning) and [Subset] phases:
     {!Runtime.Deadline_exceeded} is raised past the deadline and
     {!Bdd.Manager.Node_limit_exceeded} past the node budget (or at an
     injected fault), with partial progress recorded on the runtime.

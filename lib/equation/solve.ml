@@ -243,6 +243,10 @@ let solve_split ?node_limit ?time_limit ?(retries = 1) ?(fallback = true)
             attempts = history } }
   in
   let complete label (sp, p, solution, csf, csf_deletions, subset_states) =
+    (* the report's manager outlives the solve: lift the solve's node
+       budget and any fault hook, or a later runtime-less [verify] (which
+       is unbounded) could still raise [Node_limit_exceeded] *)
+    Runtime.detach rt p.Problem.man;
     Completed
       { method_;
         solved_by = label;

@@ -112,33 +112,34 @@ let composition_with_machine ?runtime (p : Problem.t) (machine : Machine.t) =
     in
     (parts, v_definitions, conformance, O.bnot man conformance, init)
   in
-  List.iter pin parts;
   pin conformance;
   pin nonconformance;
   pin init;
+  let state_vars = Problem.state_vars p @ x_sym.NS.state_vars in
   let quantify =
-    p.Problem.i_vars @ p.Problem.u_vars @ p.Problem.v_vars
-    @ Problem.state_vars p @ x_sym.NS.state_vars
+    p.Problem.i_vars @ p.Problem.u_vars @ p.Problem.v_vars @ state_vars
   in
   let rename_pairs = Problem.ns_to_cs p @ NS.ns_to_cs x_sym in
   (* no [Runtime.tick_image]: the fixpoint images count under
      [image.calls] but stay out of the fault-injection path *)
-  let image frontier =
-    let img =
-      Img.Image.image Img.Image.default man (frontier :: parts) ~quantify
+  let image =
+    let plan =
+      Img.Image.plan Img.Image.default man ~roots:rs parts
+        ~care_support:state_vars ~quantify
     in
-    M.stack_push man img;
-    let renamed = O.rename man img rename_pairs in
-    M.stack_drop man 1;
-    renamed
+    fun frontier ->
+      Img.Image.forward_image plan man ~ns_to_cs:rename_pairs ~care:frontier
   in
   (* a composed state is bad when for some input the outputs of F (driven
-     by the machine's v) and S differ *)
-  let bad frontier =
-    Img.Quantify.and_exists_list man
-      (frontier :: nonconformance :: v_definitions)
-      ~quantify:(p.Problem.i_vars @ p.Problem.v_vars)
-    <> M.zero
+     by the machine's v) and S differ; a check, not an image, so it stays
+     out of [image.calls] *)
+  let bad =
+    let plan =
+      Img.Quantify.plan man ~roots:rs (nonconformance :: v_definitions)
+        ~care_support:state_vars
+        ~quantify:(p.Problem.i_vars @ p.Problem.v_vars)
+    in
+    fun frontier -> Img.Quantify.apply plan frontier <> M.zero
   in
   (* rotate the protected fixpoint state so superseded iterates become
      collectable immediately *)
@@ -202,23 +203,19 @@ let composition_equals_spec ?runtime (p : Problem.t) (sp : Split.t) =
     in
     (parts, init, good)
   in
-  List.iter pin parts;
   pin init;
   pin good;
-  let quantify =
-    p.Problem.i_vars @ p.Problem.v_vars @ Problem.state_vars p
-  in
   let rename_pairs =
     Problem.ns_to_cs p @ List.combine p.Problem.u_vars p.Problem.v_vars
   in
-  let image frontier =
-    let img =
-      Img.Image.image Img.Image.default man (frontier :: parts) ~quantify
+  let image =
+    let plan =
+      Img.Image.plan Img.Image.default man ~roots:rs parts
+        ~care_support:(Problem.state_vars p @ p.Problem.v_vars)
+        ~quantify:(p.Problem.i_vars @ p.Problem.v_vars @ Problem.state_vars p)
     in
-    M.stack_push man img;
-    let renamed = O.rename man img rename_pairs in
-    M.stack_drop man 1;
-    renamed
+    fun frontier ->
+      Img.Image.forward_image plan man ~ns_to_cs:rename_pairs ~care:frontier
   in
   let protect_state id = if not (M.is_const id) then M.protect man id in
   let release_state id = if not (M.is_const id) then M.release man id in

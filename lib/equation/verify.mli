@@ -11,9 +11,9 @@
     [Verify] phase under the runtime's time/node budget (one tick per
     explored state or reachability iteration), raising
     {!Runtime.Deadline_exceeded} or {!Bdd.Manager.Node_limit_exceeded}
-    instead of running unbounded after the deadline has expired. Every
-    reachability step is one {!Img.Image.image} under
-    {!Img.Image.default}. *)
+    instead of running unbounded after the deadline has expired. Each
+    reachability fixpoint plans its image once under {!Img.Image.default}
+    and runs every step as one {!Img.Image.apply} of that plan. *)
 
 val particular_contained :
   ?runtime:Runtime.t -> Problem.t -> Split.t -> Fsa.Automaton.t -> bool

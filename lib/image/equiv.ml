@@ -55,6 +55,7 @@ let check net1 net2 =
      lists for the whole exploration; freeze rather than pin piecemeal —
      equivalence checking is an oracle, not the solver's hot path *)
   M.with_frozen man @@ fun () ->
+  M.with_roots man @@ fun rs ->
   let parts = S.transition_parts sym1 @ S.transition_parts sym2 in
   let relation = Partition.of_functions man parts in
   let cs_vars = sym1.S.state_vars @ sym2.S.state_vars in
@@ -68,10 +69,11 @@ let check net1 net2 =
   in
   let i_cube = O.cube_of_vars man i_vars in
   let bad_states = O.exists man i_cube diff in
-  let image frontier =
-    Image.forward_image Image.default relation ~inputs:i_vars
-      ~state_vars:cs_vars ~ns_to_cs ~care:frontier
+  let plan =
+    Image.plan Image.default man ~roots:rs relation.Partition.parts
+      ~care_support:cs_vars ~quantify:(i_vars @ cs_vars)
   in
+  let image frontier = Image.forward_image plan man ~ns_to_cs ~care:frontier in
   let init = O.band man sym1.S.init_cube sym2.S.init_cube in
   (* onion of frontiers for counterexample reconstruction *)
   let rec explore reached frontier onion =

@@ -6,29 +6,37 @@ let c_calls = Obs.Counter.make "image.calls"
 
 let count () = if !Obs.on then Obs.Counter.bump c_calls
 
+type plan = Quantify.plan
+
 (* the only dispatch on the image strategy in the code base *)
-let image strategy m rels ~quantify =
-  count ();
+let plan strategy m ~roots parts ~care_support ~quantify =
   match strategy with
-  | Monolithic -> Quantify.monolithic_and_exists m rels ~quantify
-  | Partitioned order -> Quantify.and_exists_list m ~order rels ~quantify
+  | Monolithic ->
+    (* one part: the product, built once per plan *)
+    let product = Bdd.Ops.conj m parts in
+    Quantify.plan m ~order:Quantify.Given ~roots [ product ] ~care_support
+      ~quantify
+  | Partitioned order ->
+    Quantify.plan m ~order ~roots parts ~care_support ~quantify
+
+let apply plan care =
+  count ();
+  Quantify.apply plan care
 
 let fused_image m ~cube rel care =
   count ();
   Bdd.Ops.and_exists m cube rel care
 
-let forward_image strategy (p : Partition.t) ~inputs ~state_vars ~ns_to_cs
-    ~care =
-  let m = p.Partition.man in
-  let img =
-    image strategy m (care :: p.Partition.parts)
-      ~quantify:(inputs @ state_vars)
-  in
-  Bdd.Ops.rename m img ns_to_cs
+let forward_image plan m ~ns_to_cs ~care =
+  let img = apply plan care in
+  Bdd.Manager.stack_push m img;
+  let renamed = Bdd.Ops.rename m img ns_to_cs in
+  Bdd.Manager.stack_drop m 1;
+  renamed
 
-let preimage strategy (p : Partition.t) ~inputs ~next_state_vars ~cs_to_ns
-    ~care =
-  let m = p.Partition.man in
+let preimage plan m ~cs_to_ns ~care =
   let care_ns = Bdd.Ops.rename m care cs_to_ns in
-  image strategy m (care_ns :: p.Partition.parts)
-    ~quantify:(inputs @ next_state_vars)
+  Bdd.Manager.stack_push m care_ns;
+  let pre = apply plan care_ns in
+  Bdd.Manager.stack_drop m 1;
+  pre

@@ -2,26 +2,28 @@ module M = Bdd.Manager
 module O = Bdd.Ops
 module S = Network.Symbolic
 
-let transition_partition (sym : S.t) =
-  Partition.of_functions sym.man (S.transition_parts sym)
+(* one image plan per fixpoint, over the unclustered transition parts *)
+let plan strategy (sym : S.t) rs =
+  let parts = Partition.of_functions sym.S.man (S.transition_parts sym) in
+  Image.plan strategy sym.S.man ~roots:rs parts.Partition.parts
+    ~care_support:sym.S.state_vars
+    ~quantify:(sym.S.input_vars @ sym.S.state_vars)
 
-let step strategy sym parts care =
-  Image.forward_image strategy parts ~inputs:sym.S.input_vars
-    ~state_vars:sym.S.state_vars ~ns_to_cs:(S.ns_to_cs sym) ~care
+let step (sym : S.t) plan care =
+  Image.forward_image plan sym.S.man ~ns_to_cs:(S.ns_to_cs sym) ~care
 
 (* Fixpoints protect the loop-carried set and re-pin it at each step, so
    the previous iterate becomes collectable the moment it is superseded. *)
 let reachable ?(strategy = Image.default) (sym : S.t) =
   let man = sym.S.man in
   M.with_roots man @@ fun rs ->
-  let parts = transition_partition sym in
-  List.iter (fun f -> ignore (M.Roots.add rs f : int)) parts.Partition.parts;
+  let plan = plan strategy sym rs in
   let r = ref sym.S.init_cube in
   M.protect man !r;
   Fun.protect ~finally:(fun () -> M.release man !r) @@ fun () ->
   let continue = ref true in
   while !continue do
-    let img = step strategy sym parts !r in
+    let img = step sym plan !r in
     M.stack_push man img;
     let r' = O.bor man !r img in
     M.stack_drop man 1;
@@ -37,8 +39,7 @@ let reachable ?(strategy = Image.default) (sym : S.t) =
 let frontier_reachable (sym : S.t) =
   let man = sym.S.man in
   M.with_roots man @@ fun rs ->
-  let parts = transition_partition sym in
-  List.iter (fun f -> ignore (M.Roots.add rs f : int)) parts.Partition.parts;
+  let plan = plan Image.default sym rs in
   let r = ref sym.S.init_cube and frontier = ref sym.S.init_cube in
   let iters = ref 0 in
   M.protect man !r;
@@ -49,7 +50,7 @@ let frontier_reachable (sym : S.t) =
       M.release man !frontier)
   @@ fun () ->
   while !frontier <> M.zero do
-    let img = step Image.default sym parts !frontier in
+    let img = step sym plan !frontier in
     M.stack_push man img;
     let fresh = O.bdiff man img !r in
     M.stack_push man fresh;

@@ -136,6 +136,46 @@ let test_frozen_defers_auto_gc () =
   Alcotest.(check bool) "collections resume after thaw" true
     (M.gc_runs m > runs0)
 
+(* The safe point before a frozen section collects exactly when the store
+   is at least 3/4 full of mostly dead nodes, auto-GC is on and the
+   manager is not frozen. *)
+let test_safe_point () =
+  let filled () =
+    let m = tiny_man () in
+    let f = majority m in
+    M.protect m f;
+    (* dead chains up to 3/4 of the 64-slot store, short of the full
+       store that would make [mk] collect on its own *)
+    let i = ref 0 in
+    while M.live_nodes m < 48 do
+      incr i;
+      ignore (minterm_chain m !i : int)
+    done;
+    Alcotest.(check int) "no collection while filling" 0 (M.gc_runs m);
+    (m, f, truth_table m f)
+  in
+  let declines what m =
+    Alcotest.(check int) (what ^ ": nothing swept") 0
+      (M.collect_at_safe_point m);
+    Alcotest.(check int) (what ^ ": no collection") 0 (M.gc_runs m)
+  in
+  let m, _, _ = filled () in
+  M.with_frozen m (fun () -> declines "frozen" m);
+  let m, _, _ = filled () in
+  M.set_auto_gc m false;
+  declines "auto-GC off" m;
+  let m, _, _ = filled () in
+  M.set_gc_threshold m 1.0;
+  declines "dead ratio under the threshold" m;
+  let m = tiny_man () in
+  make_garbage m 1;
+  declines "store under 3/4 full" m;
+  let m, f, tt = filled () in
+  Alcotest.(check bool) "collects when every condition holds" true
+    (M.collect_at_safe_point m > 0);
+  Alcotest.(check int) "one collection" 1 (M.gc_runs m);
+  Alcotest.(check (list bool)) "pinned function intact" tt (truth_table m f)
+
 (* --- pin discipline ----------------------------------------------------------- *)
 
 let test_protect_refcounted () =
@@ -282,6 +322,8 @@ let () =
             test_rebuilt_unique_table_canonical;
           Alcotest.test_case "collect rejected while frozen" `Quick
             test_collect_inside_frozen_rejected;
+          Alcotest.test_case "safe point before a frozen section" `Quick
+            test_safe_point;
           Alcotest.test_case "freezing defers auto-GC" `Quick
             test_frozen_defers_auto_gc ] );
       ( "pins",

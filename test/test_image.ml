@@ -13,6 +13,11 @@ module S = Network.Symbolic
 
 let random_bdd = Helpers.random_bdd ~depth:3
 
+(* [∃ quantify. care ∧ ∧ parts] through a plan built in a scoped root set *)
+let planned ?order man parts ~quantify care =
+  M.with_roots man @@ fun rs ->
+  Q.apply (Q.plan man ?order ~roots:rs parts ~care_support:[] ~quantify) care
+
 let test_and_exists_agrees () =
   let rng = Random.State.make [| 11 |] in
   for _ = 1 to 50 do
@@ -22,10 +27,11 @@ let test_and_exists_agrees () =
     let rels = List.init 5 (fun _ -> random_bdd man nvars rng) in
     let quantify = [ 1; 3; 5 ] in
     let mono = Q.monolithic_and_exists man rels ~quantify in
+    let care = List.hd rels and parts = List.tl rels in
     Alcotest.(check int) "greedy = monolithic" mono
-      (Q.and_exists_list man ~order:Q.Greedy rels ~quantify);
+      (planned man ~order:Q.Greedy parts ~quantify care);
     Alcotest.(check int) "given = monolithic" mono
-      (Q.and_exists_list man ~order:Q.Given rels ~quantify)
+      (planned man ~order:Q.Given parts ~quantify care)
   done
 
 let test_and_exists_empty_quantify () =
@@ -33,7 +39,7 @@ let test_and_exists_empty_quantify () =
   ignore (M.new_vars man 4 : int list);
   let a = O.var_bdd man 0 and b = O.var_bdd man 2 in
   Alcotest.(check int) "plain conjunction" (O.band man a b)
-    (Q.and_exists_list man [ a; b ] ~quantify:[])
+    (planned man [ b ] ~quantify:[] a)
 
 let test_and_exists_all_quantified () =
   let man = M.create () in
@@ -41,9 +47,63 @@ let test_and_exists_all_quantified () =
   let a = O.var_bdd man 0 in
   let na = O.nvar_bdd man 0 in
   Alcotest.(check int) "unsat product" M.zero
-    (Q.and_exists_list man [ a; na ] ~quantify:[ 0; 1 ]);
+    (planned man [ na ] ~quantify:[ 0; 1 ] a);
   Alcotest.(check int) "sat product" M.one
-    (Q.and_exists_list man [ a; a ] ~quantify:[ 0; 1 ])
+    (planned man [ a ] ~quantify:[ 0; 1 ] a)
+
+(* One random instance of [apply (plan parts) care] against the monolithic
+   reference, in a 16-slot store with auto-GC on, so collections run in
+   the middle of planning and applying. Parts may be constants, and they
+   never mention the last two variables, which only the care set does.
+   Returns (planned, reference, collections). *)
+let plan_instance order (seed, nparts) =
+  let nvars = 8 in
+  let man = M.create ~initial_capacity:16 () in
+  ignore (M.new_vars man nvars : int list);
+  M.set_auto_gc man true;
+  let rng = Random.State.make [| seed |] in
+  M.with_roots man @@ fun rs ->
+  let random nvars =
+    M.Roots.add rs (M.with_frozen man (fun () -> random_bdd man nvars rng))
+  in
+  let part () =
+    match Random.State.int rng 10 with
+    | 0 -> M.one
+    | 1 -> M.zero
+    | _ -> random (nvars - 2)
+  in
+  let parts = List.init nparts (fun _ -> part ()) in
+  let care = random nvars in
+  let subset () =
+    List.filter (fun _ -> Random.State.bool rng) (List.init nvars Fun.id)
+  in
+  let quantify = subset () and care_support = subset () in
+  let got =
+    M.Roots.add rs
+      (Q.apply (Q.plan man ~order ~roots:rs parts ~care_support ~quantify) care)
+  in
+  (got, Q.monolithic_and_exists man (care :: parts) ~quantify, M.gc_runs man)
+
+let plan_arb =
+  QCheck.(
+    make
+      ~print:(fun (seed, n) -> Printf.sprintf "seed=%d parts=%d" seed n)
+      Gen.(pair (int_bound 1_000_000) (int_range 0 4)))
+
+let prop_plan_apply (name, order) =
+  QCheck.Test.make ~count:200 ~name:(name ^ ": apply (plan parts) = monolithic")
+    plan_arb (fun instance ->
+      let got, reference, _ = plan_instance order instance in
+      got = reference)
+
+(* the property is only meaningful if collections do happen under it *)
+let test_plan_apply_collects () =
+  let runs = ref 0 in
+  for seed = 1 to 20 do
+    let _, _, n = plan_instance Q.Greedy (seed, 4) in
+    runs := !runs + n
+  done;
+  Alcotest.(check bool) "the 16-slot store collects" true (!runs > 0)
 
 let strategies =
   [ ("monolithic", I.Monolithic);
@@ -102,10 +162,24 @@ let test_clustered_image_oracle () =
             Alcotest.(check int)
               (Printf.sprintf "%s/%s = naive" cname sname)
               naive
-              (I.image strategy man (care :: clustered.P.parts) ~quantify))
+              (M.with_roots man @@ fun rs ->
+               I.apply
+                 (I.plan strategy man ~roots:rs clustered.P.parts
+                    ~care_support:[] ~quantify)
+                 care))
           strategies)
       clusterings
   done
+
+(* a forward image of [care] through a plan built in a scoped root set *)
+let forward strategy (sym : S.t) parts care =
+  let man = sym.S.man in
+  M.with_roots man @@ fun rs ->
+  let plan =
+    I.plan strategy man ~roots:rs parts.P.parts ~care_support:sym.S.state_vars
+      ~quantify:(sym.S.input_vars @ sym.S.state_vars)
+  in
+  I.forward_image plan man ~ns_to_cs:(S.ns_to_cs sym) ~care
 
 let test_image_strategies_agree () =
   let nets =
@@ -118,17 +192,13 @@ let test_image_strategies_agree () =
       let sym = S.of_netlist man net in
       let parts = P.of_functions man (S.transition_parts sym) in
       let care = sym.S.init_cube in
-      let reference =
-        I.forward_image I.Monolithic parts ~inputs:sym.S.input_vars
-          ~state_vars:sym.S.state_vars ~ns_to_cs:(S.ns_to_cs sym) ~care
-      in
+      let reference = forward I.Monolithic sym parts care in
       List.iter
         (fun (name, strat) ->
           Alcotest.(check int)
             (Printf.sprintf "%s image" name)
             reference
-            (I.forward_image strat parts ~inputs:sym.S.input_vars
-               ~state_vars:sym.S.state_vars ~ns_to_cs:(S.ns_to_cs sym) ~care))
+            (forward strat sym parts care))
         strategies)
     nets
 
@@ -137,15 +207,15 @@ let test_preimage_inverts () =
   let man = M.create () in
   let sym = S.of_netlist man (Circuits.Generators.counter 3) in
   let parts = P.of_functions man (S.transition_parts sym) in
-  let img =
-    I.forward_image (I.Partitioned Q.Greedy) parts ~inputs:sym.S.input_vars
-      ~state_vars:sym.S.state_vars ~ns_to_cs:(S.ns_to_cs sym)
-      ~care:sym.S.init_cube
-  in
+  let img = forward (I.Partitioned Q.Greedy) sym parts sym.S.init_cube in
   let pre =
-    I.preimage (I.Partitioned Q.Greedy) parts ~inputs:sym.S.input_vars
-      ~next_state_vars:sym.S.next_state_vars ~cs_to_ns:(S.cs_to_ns sym)
-      ~care:img
+    M.with_roots man @@ fun rs ->
+    let plan =
+      I.plan (I.Partitioned Q.Greedy) man ~roots:rs parts.P.parts
+        ~care_support:sym.S.next_state_vars
+        ~quantify:(sym.S.input_vars @ sym.S.next_state_vars)
+    in
+    I.preimage plan man ~cs_to_ns:(S.cs_to_ns sym) ~care:img
   in
   Alcotest.(check int) "init ⊆ preimage of its image" sym.S.init_cube
     (O.band man sym.S.init_cube pre)
@@ -304,7 +374,12 @@ let () =
           Alcotest.test_case "empty quantifier" `Quick
             test_and_exists_empty_quantify;
           Alcotest.test_case "full quantification" `Quick
-            test_and_exists_all_quantified ] );
+            test_and_exists_all_quantified;
+          Alcotest.test_case "plan/apply under gc collects" `Quick
+            test_plan_apply_collects ]
+        @ List.map
+            (fun o -> QCheck_alcotest.to_alcotest (prop_plan_apply o))
+            [ ("greedy", Q.Greedy); ("given", Q.Given) ] );
       ( "partition",
         [ Alcotest.test_case "clustering" `Quick test_cluster_preserves_product;
           Alcotest.test_case "clustered image oracle" `Quick

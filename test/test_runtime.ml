@@ -333,6 +333,22 @@ let test_real_circuit_ladder_recovery () =
   | E.Solve.Could_not_complete _ ->
     Alcotest.fail "unconstrained run must complete"
 
+(* A completed solve hands its manager to the caller without the solve's
+   budget: t298 completes under an 8 000 live-node limit, and the
+   runtime-less verification after it is unbounded, so it must not hit
+   the limit the solve ran under. *)
+let test_completed_solve_detaches () =
+  let row = Circuits.Suite.find "t298" in
+  let r =
+    report_of
+      (E.Solve.solve_split ~node_limit:8_000
+         ~method_:E.Solve.default_partitioned row.Circuits.Suite.net
+         ~x_latches:row.Circuits.Suite.x_latches)
+  in
+  let contained, equal = E.Solve.verify r in
+  Alcotest.(check bool) "contained" true contained;
+  Alcotest.(check bool) "equal" true equal
+
 let () =
   Alcotest.run "runtime"
     [ ( "fault",
@@ -354,7 +370,9 @@ let () =
             test_attach_resets_counters ] );
       ( "budgets",
         [ Alcotest.test_case "csf budgeted" `Quick test_csf_budgeted;
-          Alcotest.test_case "verify budgeted" `Quick test_verify_budgeted ] );
+          Alcotest.test_case "verify budgeted" `Quick test_verify_budgeted;
+          Alcotest.test_case "completed solve detaches" `Quick
+            test_completed_solve_detaches ] );
       ( "ladder",
         [ Alcotest.test_case "CNC in build phase" `Quick test_cnc_build_phase;
           Alcotest.test_case "CNC in subset phase" `Quick
