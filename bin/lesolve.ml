@@ -12,13 +12,16 @@ module E = Equation
 
 open Cmdliner
 
-(* Command-layer error handling: user mistakes (malformed BLIF, an unknown
-   latch name, a bad generator spec or fault string) must exit with a
-   one-line message and a nonzero status, not an exception backtrace. *)
+(* Command-layer error handling: user mistakes (malformed BLIF or AIGER, an
+   unknown latch name, a bad generator spec or fault string) must exit with
+   a one-line message and a nonzero status, not an exception backtrace. *)
 let guard f =
   try f () with
   | Network.Blif.Parse_error (line, msg) ->
     Format.eprintf "lesolve: BLIF parse error at line %d: %s@." line msg;
+    exit 1
+  | Network.Aig.Parse_error (line, msg) ->
+    Format.eprintf "lesolve: AIGER parse error at line %d: %s@." line msg;
     exit 1
   | Invalid_argument msg | Failure msg | Sys_error msg ->
     Format.eprintf "lesolve: %s@." msg;

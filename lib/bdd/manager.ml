@@ -9,8 +9,9 @@
    and id-keyed memo tables (subset-construction P_zeta memo, support memo)
    stay valid across collections. Reachability is defined by explicitly
    pinned roots: the [protect]/[release] table, registered root sets, and an
-   internal operand stack that the recursive operations in [Ops] use to pin
-   intermediate results for the duration of a call. *)
+   internal operand stack that the recursive operations (at the end of this
+   file, and in [Ops]) use to pin intermediate results for the duration of
+   a call. *)
 
 type root_set = { mutable rs_ids : int array; mutable rs_n : int }
 
@@ -80,11 +81,20 @@ let c_gc_swept = Obs.Counter.make "bdd.gc.nodes_swept"
 let c_gc_live_after = Obs.Counter.make "bdd.gc.live_after"
 let g_live = Obs.Gauge.make "bdd.live_nodes"
 
-(* per-operation cache counters, indexed by the [Op] tag below; slot 0 is
-   unused and maps to the dummy cell *)
+(* computed-cache operation tags, one per cached recursive operation (the
+   kernel at the end of this file); they namespace the cache keys and index
+   the per-operation counters below *)
+let op_ite = 1
+let op_not = 2
+let op_exists = 3
+let op_and_exists = 4
+let op_compose = 5
+let op_constrain = 6
+
+(* per-operation cache counters, indexed by tag; slot 0 is unused and maps
+   to the dummy cell *)
 let op_names =
-  [| ""; "ite"; "not"; "exists"; "forall"; "and_exists"; "compose";
-     "constrain" |]
+  [| ""; "ite"; "not"; "exists"; "and_exists"; "compose"; "constrain" |]
 
 let per_op prefix =
   Array.mapi
@@ -273,7 +283,9 @@ let stack_push m id =
   m.op_stack.(m.op_top) <- id;
   m.op_top <- m.op_top + 1
 
-let stack_drop m n = m.op_top <- max 0 (m.op_top - n)
+let stack_drop m n =
+  let top = m.op_top - n in
+  m.op_top <- (if top < 0 then 0 else top)
 
 (* called at ladder safe points (Runtime.attach): an exception that unwound
    through an operation leaves its pins behind, harmlessly conservative
@@ -415,109 +427,190 @@ let collect_at_safe_point m =
     collect m
   else 0
 
+(* the unique-table slot holding the node [(v, lo, hi)], or the empty slot
+   where it belongs *)
+let unique_slot m v lo hi =
+  let mask = m.u_mask in
+  let h = ref (hash3 v lo hi land mask) in
+  let id = ref m.u_slot.(!h) in
+  while
+    !id >= 0
+    && not (m.var_of.(!id) = v && m.low_of.(!id) = lo && m.high_of.(!id) = hi)
+  do
+    h := (!h + 1) land mask;
+    id := m.u_slot.(!h)
+  done;
+  !h
+
+(* [mk] pins its own operands around a collection: the caller cannot know
+   a collection happens under this particular [mk] *)
+let collect_pinned m lo hi =
+  stack_push m lo;
+  stack_push m hi;
+  let swept = collect m in
+  stack_drop m 2;
+  swept
+
+let pop_free m =
+  let id = m.free_head in
+  m.free_head <- m.low_of.(id);
+  m.free_count <- m.free_count - 1;
+  id
+
+(* [mk]'s miss path: commit a fresh node for [(v, lo, hi)], whose empty
+   unique-table slot is [slot] unless a collection runs first *)
+let alloc m v lo hi slot =
+  let runs = m.gc_runs in
+  (* the node budget bounds *live* nodes: when the entry count hits the
+     limit, reclaim dead entries first and only fail if the live set
+     itself does not fit. [est_dead_ratio] drops to 0 right after a
+     collection, so a saturated live set cannot thrash here. *)
+  (match m.node_limit with
+   | Some lim when m.n_entries >= lim ->
+     if may_collect m then begin
+       ignore (collect_pinned m lo hi : int);
+       if m.n_entries >= lim then raise Node_limit_exceeded
+     end
+     else raise Node_limit_exceeded
+   | Some _ | None -> ());
+  (match m.alloc_hook with Some f -> f () | None -> ());
+  let id =
+    if m.free_head >= 0 then pop_free m
+    else begin
+      if m.n_nodes >= Array.length m.var_of then begin
+        if may_collect m then begin
+          let swept = collect_pinned m lo hi in
+          (* anti-thrash: a collection that reclaimed under 1/8 of the
+             store would have us collecting again almost immediately *)
+          if swept < Array.length m.var_of / 8 then grow_nodes m
+        end
+        else grow_nodes m
+      end;
+      if m.free_head >= 0 then pop_free m
+      else begin
+        let id = m.n_nodes in
+        m.n_nodes <- id + 1;
+        id
+      end
+    end
+  in
+  (* a collection rebuilt the unique table: re-derive the empty slot *)
+  let slot = if m.gc_runs = runs then slot else unique_slot m v lo hi in
+  m.n_entries <- m.n_entries + 1;
+  if m.n_entries > m.peak_live then m.peak_live <- m.n_entries;
+  if !Obs.on then begin
+    Obs.Counter.bump c_alloc;
+    Obs.Gauge.set_max g_peak m.n_entries;
+    Obs.Gauge.set g_live m.n_entries
+  end;
+  m.var_of.(id) <- v;
+  m.low_of.(id) <- lo;
+  m.high_of.(id) <- hi;
+  m.u_slot.(slot) <- id;
+  (* keep the load factor under 1/2 *)
+  if 2 * m.n_entries > m.u_mask then rehash_unique m;
+  (* keep the (lossy) computed cache proportional to the live count;
+     the [max_cache_bits] cap is checked here, not in [grow_cache] *)
+  if m.n_entries > m.c_mask && m.c_mask + 1 < cache_cap then grow_cache m;
+  id
+
 let mk m v lo hi =
   if lo = hi then lo
   else begin
     if !Obs.on then Obs.Counter.bump c_mk;
-    let mask = m.u_mask in
-    let h = ref (hash3 v lo hi land mask) in
-    let found = ref (-1) in
-    let continue = ref true in
-    while !continue do
-      let id = m.u_slot.(!h) in
-      if id < 0 then continue := false
-      else if m.var_of.(id) = v && m.low_of.(id) = lo && m.high_of.(id) = hi
-      then begin
-        found := id;
-        continue := false
-      end
-      else h := (!h + 1) land mask
-    done;
-    if !found >= 0 then begin
+    let slot = unique_slot m v lo hi in
+    let id = m.u_slot.(slot) in
+    if id >= 0 then begin
       if !Obs.on then Obs.Counter.bump c_unique_hit;
-      !found
-    end
-    else begin
-      let slot = ref !h in
-      (* a collection rebuilds the unique table: re-derive the free slot
-         for the pending insertion afterwards *)
-      let collect_pinned () =
-        (* pin our own operands — the caller cannot know a collection
-           happens under this particular [mk] *)
-        stack_push m lo;
-        stack_push m hi;
-        let swept = collect m in
-        stack_drop m 2;
-        let mask = m.u_mask in
-        let h' = ref (hash3 v lo hi land mask) in
-        while m.u_slot.(!h') >= 0 do
-          h' := (!h' + 1) land mask
-        done;
-        slot := !h';
-        swept
-      in
-      (* the node budget bounds *live* nodes: when the entry count hits the
-         limit, reclaim dead entries first and only fail if the live set
-         itself does not fit. [est_dead_ratio] drops to 0 right after a
-         collection, so a saturated live set cannot thrash here. *)
-      (match m.node_limit with
-       | Some lim when m.n_entries >= lim ->
-         if may_collect m then begin
-           ignore (collect_pinned () : int);
-           if m.n_entries >= lim then raise Node_limit_exceeded
-         end
-         else raise Node_limit_exceeded
-       | Some _ | None -> ());
-      (match m.alloc_hook with Some f -> f () | None -> ());
-      let id =
-        if m.free_head >= 0 then begin
-          let id = m.free_head in
-          m.free_head <- m.low_of.(id);
-          m.free_count <- m.free_count - 1;
-          id
-        end
-        else begin
-          if m.n_nodes >= Array.length m.var_of then begin
-            if may_collect m then begin
-              let swept = collect_pinned () in
-              (* anti-thrash: a collection that reclaimed under 1/8 of the
-                 store would have us collecting again almost immediately *)
-              if swept < Array.length m.var_of / 8 then grow_nodes m
-            end
-            else grow_nodes m
-          end;
-          if m.free_head >= 0 then begin
-            let id = m.free_head in
-            m.free_head <- m.low_of.(id);
-            m.free_count <- m.free_count - 1;
-            id
-          end
-          else begin
-            let id = m.n_nodes in
-            m.n_nodes <- id + 1;
-            id
-          end
-        end
-      in
-      m.n_entries <- m.n_entries + 1;
-      if m.n_entries > m.peak_live then m.peak_live <- m.n_entries;
-      if !Obs.on then begin
-        Obs.Counter.bump c_alloc;
-        Obs.Gauge.set_max g_peak m.n_entries;
-        Obs.Gauge.set g_live m.n_entries
-      end;
-      m.var_of.(id) <- v;
-      m.low_of.(id) <- lo;
-      m.high_of.(id) <- hi;
-      m.u_slot.(!slot) <- id;
-      (* keep the load factor under 1/2 *)
-      if 2 * m.n_entries > m.u_mask then rehash_unique m;
-      (* keep the (lossy) computed cache proportional to the live count;
-         the [max_cache_bits] cap is checked here, not in [grow_cache] *)
-      if m.n_entries > m.c_mask && m.c_mask + 1 < cache_cap then grow_cache m;
       id
     end
+    else alloc m v lo hi slot
   end
+
+(* --- invariant check ------------------------------------------------------ *)
+
+let check m =
+  let fail fmt = Printf.ksprintf failwith ("Manager.check: " ^^ fmt) in
+  let top = m.n_nodes in
+  let live id =
+    id >= 0 && id < top && (id < 2 || m.var_of.(id) <> free_level)
+  in
+  let live_nodes = ref 2 in
+  for id = 2 to top - 1 do
+    let v = m.var_of.(id) in
+    if v <> free_level then begin
+      incr live_nodes;
+      let lo = m.low_of.(id) and hi = m.high_of.(id) in
+      if not (live lo && live hi) then
+        fail "node %d has a child on a free or unallocated slot (%d, %d)" id lo
+          hi;
+      if lo = hi then fail "node %d is not reduced (both children %d)" id lo;
+      if not (v < m.var_of.(lo) && v < m.var_of.(hi)) then
+        fail "node %d (level %d) is not above its children %d and %d" id v lo
+          hi
+    end
+  done;
+  if !live_nodes <> m.n_entries then
+    fail "live count is %d but the store holds %d live nodes" m.n_entries
+      !live_nodes;
+  let seen = Bytes.make top '\000' in
+  let in_table = ref 0 in
+  Array.iteri
+    (fun slot id ->
+      if id >= 0 then begin
+        if id < 2 || not (live id) then
+          fail "unique-table slot %d holds id %d, which is not a live node" slot
+            id;
+        if Bytes.get seen id <> '\000' then
+          fail "id %d appears twice in the unique table" id;
+        Bytes.set seen id '\001';
+        incr in_table;
+        if unique_slot m m.var_of.(id) m.low_of.(id) m.high_of.(id) <> slot then
+          fail "probing the key of node %d does not reach its slot %d" id slot
+      end)
+    m.u_slot;
+  if !in_table <> m.n_entries - 2 then
+    fail "the unique table holds %d ids for %d live decision nodes" !in_table
+      (m.n_entries - 2);
+  let free = ref 0 and id = ref m.free_head in
+  while !id >= 0 do
+    if !id >= top || m.var_of.(!id) <> free_level then
+      fail "free list reaches id %d, which is not a free slot" !id;
+    incr free;
+    if !free > top then fail "free list has a cycle";
+    id := m.low_of.(!id)
+  done;
+  if !free <> m.free_count then
+    fail "free count is %d but the free list holds %d slots" m.free_count !free;
+  if m.n_entries + !free <> top then
+    fail "%d live and %d free slots do not fill a store of %d" m.n_entries
+      !free top;
+  Hashtbl.iter
+    (fun id n ->
+      if n <= 0 then fail "node %d has pin count %d" id n;
+      if not (live id) then fail "pinned id %d is not a live node" id)
+    m.pinned;
+  List.iter
+    (fun s ->
+      for i = 0 to s.rs_n - 1 do
+        if not (live s.rs_ids.(i)) then
+          fail "root-set id %d is not a live node" s.rs_ids.(i)
+      done)
+    m.root_sets;
+  for i = 0 to m.op_top - 1 do
+    if not (live m.op_stack.(i)) then
+      fail "operand-stack id %d is not a live node" m.op_stack.(i)
+  done;
+  (* key slots [a] and [b] and the result are node ids for every tag *)
+  for s = 0 to m.c_mask do
+    if m.c_key_op.(s) >= 0
+       && not (live m.c_key_a.(s) && live m.c_key_b.(s) && live m.c_res.(s))
+    then fail "computed-cache entry %d names a freed id" s
+  done;
+  Hashtbl.iter
+    (fun id _ ->
+      if not (live id) then fail "support-memo key %d is not a live node" id)
+    m.support_memo
 
 let var m id = m.var_of.(id)
 let low m id = m.low_of.(id)
@@ -548,42 +641,6 @@ let var_name m v =
 
 let set_var_name m v s = if v >= 0 && v < m.n_vars then m.names.(v) <- s
 
-let cache_slot m op a b c =
-  let h =
-    (op * 0x27d4eb2f)
-    lxor (a * 0x9e3779b1)
-    lxor (b * 0x85ebca77)
-    lxor (c * 0xc2b2ae3d)
-  in
-  let h = h lxor (h lsr 13) in
-  h land m.c_mask
-
-let cache_find m op a b c =
-  let s = cache_slot m op a b c in
-  let hit =
-    m.c_key_op.(s) = op && m.c_key_a.(s) = a && m.c_key_b.(s) = b
-    && m.c_key_c.(s) = c
-  in
-  if !Obs.on then begin
-    Obs.Counter.bump c_lookup;
-    if op > 0 && op < Array.length c_lookup_op then
-      Obs.Counter.bump c_lookup_op.(op);
-    if hit then begin
-      Obs.Counter.bump c_hit;
-      if op > 0 && op < Array.length c_hit_op then
-        Obs.Counter.bump c_hit_op.(op)
-    end
-  end;
-  if hit then Some m.c_res.(s) else None
-
-let cache_store m op a b c r =
-  let s = cache_slot m op a b c in
-  m.c_key_op.(s) <- op;
-  m.c_key_a.(s) <- a;
-  m.c_key_b.(s) <- b;
-  m.c_key_c.(s) <- c;
-  m.c_res.(s) <- r
-
 let clear_caches m =
   if !Obs.on then begin
     Obs.Counter.bump c_clear;
@@ -594,12 +651,297 @@ let clear_caches m =
 
 let support_memo m = m.support_memo
 
-module Op = struct
-  let ite = 1
-  let bnot = 2
-  let exists = 3
-  let forall = 4
-  let and_exists = 5
-  let compose = 6
-  let constrain = 7
-end
+(* --- cached recursive operations ------------------------------------------
+
+   They live here, next to the arrays they read, rather than in [Ops]:
+   the default (dev) build compiles every module [-opaque], so a call into
+   another module is an unknown-function call that cannot be inlined, and
+   every [var]/[low]/[high]/probe/pin from [Ops] cost one (DESIGN.md, "BDD
+   kernel"). Here they are direct calls or plain array loads, and nothing
+   on the hot path allocates: the cache probe returns [-1] on a miss, not
+   an option.
+
+   GC discipline: the caller keeps the operands alive (pinned directly or
+   reachable from a pinned root), and each operation pins every
+   already-computed intermediate on the operand stack before its next
+   recursive call, so a collection triggered by an inner [mk] can never
+   sweep a partial result held only in an OCaml local. [mk] pins its own
+   two arguments, so results that flow straight into an enclosing [mk]
+   need no extra pin. *)
+
+let cache_slot m op a b c =
+  let h =
+    (op * 0x27d4eb2f)
+    lxor (a * 0x9e3779b1)
+    lxor (b * 0x85ebca77)
+    lxor (c * 0xc2b2ae3d)
+  in
+  let h = h lxor (h lsr 13) in
+  h land m.c_mask
+
+(* The cached result for [(op, a, b, c)], or [-1]. [a b c] are operand
+   node ids, or 0 for unused slots in a way that cannot collide for the
+   same op. *)
+let cache_find m op a b c =
+  let s = cache_slot m op a b c in
+  let hit =
+    m.c_key_op.(s) = op && m.c_key_a.(s) = a && m.c_key_b.(s) = b
+    && m.c_key_c.(s) = c
+  in
+  if !Obs.on then begin
+    Obs.Counter.bump c_lookup;
+    Obs.Counter.bump c_lookup_op.(op);
+    if hit then begin
+      Obs.Counter.bump c_hit;
+      Obs.Counter.bump c_hit_op.(op)
+    end
+  end;
+  if hit then m.c_res.(s) else -1
+
+(* The cache is a lossy direct-mapped table: a store may overwrite any
+   entry, which only costs recomputation. Every collection empties it, so
+   a hit can never name a swept id. *)
+let cache_store m op a b c r =
+  let s = cache_slot m op a b c in
+  m.c_key_op.(s) <- op;
+  m.c_key_a.(s) <- a;
+  m.c_key_b.(s) <- b;
+  m.c_key_c.(s) <- c;
+  m.c_res.(s) <- r
+
+(* [Stdlib.min] is polymorphic: an external comparison call per use *)
+let imin (a : int) b = if a <= b then a else b
+
+let rec bnot m f =
+  if f = zero then one
+  else if f = one then zero
+  else
+    let r = cache_find m op_not f 0 0 in
+    if r >= 0 then r
+    else begin
+      let lo = bnot m m.low_of.(f) in
+      stack_push m lo;
+      let hi = bnot m m.high_of.(f) in
+      stack_drop m 1;
+      let r = mk m m.var_of.(f) lo hi in
+      cache_store m op_not f 0 0 r;
+      r
+    end
+
+(* [ite] first rewrites its triple to the standard member of its class
+   (Brace–Rudell–Bryant): [ite f f h = ite f 1 h], [ite f g f = ite f g 0],
+   and the commutative [and] ([h = 0]) and [or] ([g = 1]) put the smaller
+   id first, so [band m f g] and [band m g f] share one cache entry. *)
+let rec ite m f g h =
+  if f = one then g
+  else if f = zero then h
+  else
+    let g = if g = f then one else g in
+    let h = if h = f then zero else h in
+    if g = h then g
+    else if g = one && h = zero then f
+    else if h = zero && g < f then ite_step m g f zero
+    else if g = one && h < f then ite_step m h one f
+    else ite_step m f g h
+
+and ite_step m f g h =
+  let r = cache_find m op_ite f g h in
+  if r >= 0 then r
+  else begin
+    let vf = m.var_of.(f) and vg = m.var_of.(g) and vh = m.var_of.(h) in
+    let v = imin vf (imin vg vh) in
+    let lo =
+      ite m
+        (if vf = v then m.low_of.(f) else f)
+        (if vg = v then m.low_of.(g) else g)
+        (if vh = v then m.low_of.(h) else h)
+    in
+    stack_push m lo;
+    let hi =
+      ite m
+        (if vf = v then m.high_of.(f) else f)
+        (if vg = v then m.high_of.(g) else g)
+        (if vh = v then m.high_of.(h) else h)
+    in
+    stack_drop m 1;
+    let r = mk m v lo hi in
+    cache_store m op_ite f g h r;
+    r
+  end
+
+(* [cube] with its variables above level [top] skipped *)
+let rec cube_from m cube top =
+  if cube <> one && m.var_of.(cube) < top then cube_from m m.high_of.(cube) top
+  else cube
+
+(* [∃cube. lo ∨ hi] for a quantified top variable, short-circuiting when
+   the low branch is already [one] *)
+let rec exists m cube f =
+  if f < 2 || cube = one then f
+  else
+    let v = m.var_of.(f) in
+    let cube = cube_from m cube v in
+    if cube = one then f
+    else
+      let r = cache_find m op_exists f cube 0 in
+      if r >= 0 then r
+      else begin
+        let r =
+          if m.var_of.(cube) = v then begin
+            let cube' = m.high_of.(cube) in
+            let lo = exists m cube' m.low_of.(f) in
+            if lo = one then one
+            else begin
+              stack_push m lo;
+              let hi = exists m cube' m.high_of.(f) in
+              stack_push m hi;
+              let r = ite m lo one hi in
+              stack_drop m 2;
+              r
+            end
+          end
+          else begin
+            let lo = exists m cube m.low_of.(f) in
+            stack_push m lo;
+            let hi = exists m cube m.high_of.(f) in
+            stack_drop m 1;
+            mk m v lo hi
+          end
+        in
+        cache_store m op_exists f cube 0 r;
+        r
+      end
+
+let rec and_exists m cube f g =
+  if f = zero || g = zero then zero
+  else if f = one && g = one then one
+  else if f = one then exists m cube g
+  else if g = one then exists m cube f
+  else if f = g then exists m cube f
+  else if cube = one then ite m f g zero
+  else begin
+    let vf = m.var_of.(f) and vg = m.var_of.(g) in
+    let top = imin vf vg in
+    let cube = cube_from m cube top in
+    if cube = one then ite m f g zero
+    else if f <= g then and_exists_step m cube f g vf vg top
+    (* ∧ commutes: one cache entry for both operand orders *)
+    else and_exists_step m cube g f vg vf top
+  end
+
+and and_exists_step m cube f g vf vg top =
+  let r = cache_find m op_and_exists f g cube in
+  if r >= 0 then r
+  else begin
+    let r =
+      if m.var_of.(cube) = top then begin
+        let cube' = m.high_of.(cube) in
+        let lo =
+          and_exists m cube'
+            (if vf = top then m.low_of.(f) else f)
+            (if vg = top then m.low_of.(g) else g)
+        in
+        if lo = one then one
+        else begin
+          stack_push m lo;
+          let hi =
+            and_exists m cube'
+              (if vf = top then m.high_of.(f) else f)
+              (if vg = top then m.high_of.(g) else g)
+          in
+          stack_push m hi;
+          let r = ite m lo one hi in
+          stack_drop m 2;
+          r
+        end
+      end
+      else begin
+        let lo =
+          and_exists m cube
+            (if vf = top then m.low_of.(f) else f)
+            (if vg = top then m.low_of.(g) else g)
+        in
+        stack_push m lo;
+        let hi =
+          and_exists m cube
+            (if vf = top then m.high_of.(f) else f)
+            (if vg = top then m.high_of.(g) else g)
+        in
+        stack_drop m 1;
+        mk m top lo hi
+      end
+    in
+    cache_store m op_and_exists f g cube r;
+    r
+  end
+
+(* [f] with [v := b], where the literal node [lit] keys the cache: walk to
+   level [v] and take the branch *)
+let rec cofactor_walk m v b lit f =
+  if f < 2 then f
+  else
+    let fv = m.var_of.(f) in
+    if fv > v then f
+    else if fv = v then if b then m.high_of.(f) else m.low_of.(f)
+    else
+      let r = cache_find m op_constrain f lit 0 in
+      if r >= 0 then r
+      else begin
+        let lo = cofactor_walk m v b lit m.low_of.(f) in
+        stack_push m lo;
+        let hi = cofactor_walk m v b lit m.high_of.(f) in
+        stack_drop m 1;
+        let r = mk m fv lo hi in
+        cache_store m op_constrain f lit 0 r;
+        r
+      end
+
+let cofactor m f v b =
+  let lit = if b then mk m v zero one else mk m v one zero in
+  cofactor_walk m v b lit f
+
+let rec cofactor_cube m f cube =
+  if cube = one || f < 2 then f
+  else begin
+    let cv = m.var_of.(cube) in
+    let branch_high = m.high_of.(cube) <> zero in
+    let next_cube = if branch_high then m.high_of.(cube) else m.low_of.(cube) in
+    let fv = m.var_of.(f) in
+    if cv < fv then cofactor_cube m f next_cube
+    else if cv = fv then
+      cofactor_cube m
+        (if branch_high then m.high_of.(f) else m.low_of.(f))
+        next_cube
+    else
+      let r = cache_find m op_constrain f cube 1 in
+      if r >= 0 then r
+      else begin
+        let lo = cofactor_cube m m.low_of.(f) cube in
+        stack_push m lo;
+        let hi = cofactor_cube m m.high_of.(f) cube in
+        stack_drop m 1;
+        let r = mk m fv lo hi in
+        cache_store m op_constrain f cube 1 r;
+        r
+      end
+  end
+
+let rec compose m f v g =
+  if f < 2 || m.var_of.(f) > v then f
+  else if m.var_of.(f) = v then ite m g m.high_of.(f) m.low_of.(f)
+  else
+    let r = cache_find m op_compose f g v in
+    if r >= 0 then r
+    else begin
+      let lo = compose m m.low_of.(f) v g in
+      stack_push m lo;
+      let hi = compose m m.high_of.(f) v g in
+      stack_push m hi;
+      (* [g] may mention variables above [var f], so rebuild with ite *)
+      let vb = mk m m.var_of.(f) zero one in
+      stack_push m vb;
+      let r = ite m vb hi lo in
+      stack_drop m 3;
+      cache_store m op_compose f g v r;
+      r
+    end

@@ -162,9 +162,9 @@ val with_roots : t -> (Roots.set -> 'a) -> 'a
 
 val stack_push : t -> int -> unit
 (** Pin an intermediate on the internal operand stack. Used by the
-    recursive operations in {!Ops} to protect already-computed partial
-    results across their remaining recursive calls; strictly LIFO with
-    {!stack_drop}. *)
+    recursive operations (below and in {!Ops}) to protect already-computed
+    partial results across their remaining recursive calls; strictly LIFO
+    with {!stack_drop}. *)
 
 val stack_drop : t -> int -> unit
 (** Pop the [n] most recent operand pins. *)
@@ -217,17 +217,6 @@ val gc_runs : t -> int
 val gc_nodes_swept : t -> int
 (** Total nodes reclaimed over the manager's lifetime. *)
 
-val cache_find : t -> int -> int -> int -> int -> int option
-(** [cache_find m op a b c] looks up the computed cache. The [op] tag
-    namespaces operations; [a b c] are operand node ids (use 0 for unused
-    slots in a way that cannot collide for the same op). *)
-
-val cache_store : t -> int -> int -> int -> int -> int -> unit
-(** [cache_store m op a b c r] memoizes a result. The cache is a lossy
-    direct-mapped table: entries may be overwritten at any time, which only
-    costs recomputation. Every collection empties the cache, so a hit can
-    never name a swept id. *)
-
 val support_memo : t -> (int, int list) Hashtbl.t
 (** Memo table from node id to its (sorted) support, shared by {!Ops.support}
     callers. Nodes are immutable, so entries never go stale; the collector
@@ -236,14 +225,28 @@ val support_memo : t -> (int, int list) Hashtbl.t
 val clear_caches : t -> unit
 (** Drop all memoized operation results (never required for correctness). *)
 
-(** Operation tags for the shared computed cache. Each distinct recursive
-    operation must use a distinct tag. *)
-module Op : sig
-  val ite : int
-  val bnot : int
-  val exists : int
-  val forall : int
-  val and_exists : int
-  val compose : int
-  val constrain : int
-end
+val check : t -> unit
+(** Verify the store's invariants and raise [Failure] naming the first
+    violation: every live node is reduced ([low <> high]) and ordered (its
+    variable is strictly above its children's), with no child on a
+    free-list slot; the unique table holds each live id exactly once, at
+    the slot its key probes to, and nothing else; the free list holds
+    exactly the free slots; the live count matches; every pin count is
+    positive and every pinned, root-set, operand-stack, cached and
+    support-memo id is live. Costs a pass over the store and both tables
+    — a test and debugging aid. *)
+
+(** {2 Cached recursive operations}
+
+    The computed-cache operations live with the node store so that their
+    recursion reads it directly; {!Ops} re-exports each under the same
+    name and is where they are documented. Operands must be kept alive by
+    the caller (pinned, or reachable from a pinned root). *)
+
+val bnot : t -> int -> int
+val ite : t -> int -> int -> int -> int
+val exists : t -> int -> int -> int
+val and_exists : t -> int -> int -> int -> int
+val cofactor : t -> int -> int -> bool -> int
+val cofactor_cube : t -> int -> int -> int
+val compose : t -> int -> int -> int -> int

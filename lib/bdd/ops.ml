@@ -1,58 +1,24 @@
 module M = Manager
 
-(* GC discipline for every recursive operation below: the caller keeps the
-   operands alive (pinned directly or reachable from a pinned root), and
-   the operation pins each already-computed intermediate on the manager's
-   operand stack before making further recursive calls, so a collection
-   triggered by an inner [mk] can never sweep a partial result held only
-   in an OCaml local. [mk] pins its own two arguments, so results that
-   flow straight into an enclosing [mk] need no extra pin. *)
+(* The cached recursive operations live in [Manager], next to the node
+   store (see the comment there); they are re-exported here. The GC
+   discipline they follow holds for the compositions below too: the
+   caller keeps the operands alive, and an intermediate is pinned on the
+   operand stack while a later operation may allocate. *)
 
 let var_bdd m v = M.mk m v M.zero M.one
 let nvar_bdd m v = M.mk m v M.one M.zero
 
-let rec bnot m f =
-  if f = M.zero then M.one
-  else if f = M.one then M.zero
-  else
-    match M.cache_find m M.Op.bnot f 0 0 with
-    | Some r -> r
-    | None ->
-      let lo = bnot m (M.low m f) in
-      M.stack_push m lo;
-      let hi = bnot m (M.high m f) in
-      M.stack_drop m 1;
-      let r = M.mk m (M.var m f) lo hi in
-      M.cache_store m M.Op.bnot f 0 0 r;
-      r
+let bnot = M.bnot
+let ite = M.ite
+let exists = M.exists
+let and_exists = M.and_exists
+let cofactor = M.cofactor
+let cofactor_cube = M.cofactor_cube
+let compose = M.compose
 
-(* Cofactors of [f] w.r.t. the variable [v], assuming v <= var f. *)
-let cofactors m f v =
-  if M.var m f = v then (M.low m f, M.high m f) else (f, f)
-
-let rec ite m f g h =
-  if f = M.one then g
-  else if f = M.zero then h
-  else if g = h then g
-  else if g = M.one && h = M.zero then f
-  else
-    match M.cache_find m M.Op.ite f g h with
-    | Some r -> r
-    | None ->
-      let v = min (M.var m f) (min (M.var m g) (M.var m h)) in
-      let f0, f1 = cofactors m f v in
-      let g0, g1 = cofactors m g v in
-      let h0, h1 = cofactors m h v in
-      let lo = ite m f0 g0 h0 in
-      M.stack_push m lo;
-      let hi = ite m f1 g1 h1 in
-      M.stack_drop m 1;
-      let r = M.mk m v lo hi in
-      M.cache_store m M.Op.ite f g h r;
-      r
-
-let band m f g = ite m f g M.zero
-let bor m f g = ite m f M.one g
+let band m f g = M.ite m f g M.zero
+let bor m f g = M.ite m f M.one g
 
 let bxor m f g =
   let ng = bnot m g in
@@ -67,7 +33,6 @@ let bxnor m f g =
   let r = ite m f g ng in
   M.stack_drop m 1;
   r
-
 
 let bdiff m f g =
   let ng = bnot m g in
@@ -113,49 +78,6 @@ let cube_of_literals m lits =
       if pos then M.mk m v M.zero acc else M.mk m v acc M.zero)
     sorted M.one
 
-let rec exists m cube f =
-  if M.is_const f || cube = M.one then f
-  else begin
-    (* Skip quantified variables above the top variable of [f]. *)
-    let rec advance cube =
-      if cube <> M.one && M.var m cube < M.var m f then
-        advance (M.high m cube)
-      else cube
-    in
-    let cube = advance cube in
-    if cube = M.one then f
-    else
-      match M.cache_find m M.Op.exists f cube 0 with
-      | Some r -> r
-      | None ->
-        let v = M.var m f in
-        let cv = M.var m cube in
-        let r =
-          if cv = v then begin
-            let cube' = M.high m cube in
-            let lo = exists m cube' (M.low m f) in
-            if lo = M.one then M.one
-            else begin
-              M.stack_push m lo;
-              let hi = exists m cube' (M.high m f) in
-              M.stack_push m hi;
-              let r = bor m lo hi in
-              M.stack_drop m 2;
-              r
-            end
-          end
-          else begin
-            let lo = exists m cube (M.low m f) in
-            M.stack_push m lo;
-            let hi = exists m cube (M.high m f) in
-            M.stack_drop m 1;
-            M.mk m v lo hi
-          end
-        in
-        M.cache_store m M.Op.exists f cube 0 r;
-        r
-  end
-
 let forall m cube f =
   let nf = bnot m f in
   M.stack_push m nf;
@@ -164,122 +86,6 @@ let forall m cube f =
   let r = bnot m e in
   M.stack_drop m 2;
   r
-
-let rec and_exists m cube f g =
-  if f = M.zero || g = M.zero then M.zero
-  else if f = M.one && g = M.one then M.one
-  else if f = M.one then exists m cube g
-  else if g = M.one then exists m cube f
-  else if f = g then exists m cube f
-  else if cube = M.one then band m f g
-  else begin
-    let top = min (M.var m f) (M.var m g) in
-    let rec advance cube =
-      if cube <> M.one && M.var m cube < top then advance (M.high m cube)
-      else cube
-    in
-    let cube = advance cube in
-    if cube = M.one then band m f g
-    else
-      (* Normalize operand order: ∧ commutes, so cache both orders once. *)
-      let f, g = if f <= g then (f, g) else (g, f) in
-      match M.cache_find m M.Op.and_exists f g cube with
-      | Some r -> r
-      | None ->
-        let f0, f1 = cofactors m f top in
-        let g0, g1 = cofactors m g top in
-        let r =
-          if M.var m cube = top then begin
-            let cube' = M.high m cube in
-            let lo = and_exists m cube' f0 g0 in
-            if lo = M.one then M.one
-            else begin
-              M.stack_push m lo;
-              let hi = and_exists m cube' f1 g1 in
-              M.stack_push m hi;
-              let r = bor m lo hi in
-              M.stack_drop m 2;
-              r
-            end
-          end
-          else begin
-            let lo = and_exists m cube f0 g0 in
-            M.stack_push m lo;
-            let hi = and_exists m cube f1 g1 in
-            M.stack_drop m 1;
-            M.mk m top lo hi
-          end
-        in
-        M.cache_store m M.Op.and_exists f g cube r;
-        r
-  end
-
-let cofactor m f v b =
-  let lit = if b then var_bdd m v else nvar_bdd m v in
-  (* ∃v. f ∧ lit computed directly: walk to v and take the branch. *)
-  let rec walk f =
-    if M.is_const f then f
-    else
-      let fv = M.var m f in
-      if fv > v then f
-      else if fv = v then if b then M.high m f else M.low m f
-      else
-        match M.cache_find m M.Op.constrain f lit 0 with
-        | Some r -> r
-        | None ->
-          let lo = walk (M.low m f) in
-          M.stack_push m lo;
-          let hi = walk (M.high m f) in
-          M.stack_drop m 1;
-          let r = M.mk m fv lo hi in
-          M.cache_store m M.Op.constrain f lit 0 r;
-          r
-  in
-  walk f
-
-let rec cofactor_cube m f cube =
-  if cube = M.one || M.is_const f then f
-  else begin
-    let cv = M.var m cube in
-    let next_cube, branch_high =
-      if M.high m cube = M.zero then (M.low m cube, false)
-      else (M.high m cube, true)
-    in
-    let fv = M.var m f in
-    if cv < fv then cofactor_cube m f next_cube
-    else if cv = fv then
-      cofactor_cube m (if branch_high then M.high m f else M.low m f) next_cube
-    else
-      match M.cache_find m M.Op.constrain f cube 1 with
-      | Some r -> r
-      | None ->
-        let lo = cofactor_cube m (M.low m f) cube in
-        M.stack_push m lo;
-        let hi = cofactor_cube m (M.high m f) cube in
-        M.stack_drop m 1;
-        let r = M.mk m fv lo hi in
-        M.cache_store m M.Op.constrain f cube 1 r;
-        r
-  end
-
-let rec compose m f v g =
-  if M.is_const f || M.var m f > v then f
-  else if M.var m f = v then ite m g (M.high m f) (M.low m f)
-  else
-    match M.cache_find m M.Op.compose f g v with
-    | Some r -> r
-    | None ->
-      let lo = compose m (M.low m f) v g in
-      M.stack_push m lo;
-      let hi = compose m (M.high m f) v g in
-      M.stack_push m hi;
-      (* [g] may mention variables above [var f], so rebuild with ite. *)
-      let vb = var_bdd m (M.var m f) in
-      M.stack_push m vb;
-      let r = ite m vb hi lo in
-      M.stack_drop m 3;
-      M.cache_store m M.Op.compose f g v r;
-      r
 
 (* the private memo holds intermediate ids the collector cannot see, so
    the whole traversal runs frozen (allocation grows the store instead) *)

@@ -152,7 +152,16 @@ let to_netlist (t : t) =
   let base = 1 + t.num_inputs + t.num_latches in
   (* materialize a literal as (net, negated?) folded into a small expr *)
   let const0 = lazy (N.const_net b false) in
-  let net_of_var v = Hashtbl.find nets v in
+  (* a variable no input, latch or earlier gate defines: M may exceed
+     I + L + A, and gates may reference later ones *)
+  let net_of_var v =
+    match Hashtbl.find_opt nets v with
+    | Some net -> net
+    | None ->
+      failwith
+        (Printf.sprintf "AIGER: variable %d is used but not defined before use"
+           v)
+  in
   let expr_of_lit l fanin_slot =
     if l land 1 = 0 then E.Var fanin_slot else E.Not (E.Var fanin_slot)
   in
@@ -273,11 +282,15 @@ let of_aag text =
     if Array.length lines = 0 then raise (Parse_error (1, "empty file"))
     else tokens lines.(0)
   in
+  (* a non-negative decimal on line [k], or a parse error *)
+  let num k s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> n
+    | Some _ | None -> raise (Parse_error (k, "bad number " ^ s))
+  in
   let m, i, l, o, a =
     match header with
-    | [ "aag"; m; i; l; o; a ] ->
-      ( int_of_string m, int_of_string i, int_of_string l, int_of_string o,
-        int_of_string a )
+    | [ "aag"; m; i; l; o; a ] -> (num 1 m, num 1 i, num 1 l, num 1 o, num 1 a)
     | _ -> raise (Parse_error (1, "bad aag header"))
   in
   if m < i + l + a then raise (Parse_error (1, "inconsistent header"));
@@ -291,10 +304,21 @@ let of_aag text =
     incr cursor;
     s
   in
+  (* a literal on the line just read: its variable must not exceed M *)
+  let lit s =
+    let n = num !cursor s in
+    if n lsr 1 > m then
+      raise
+        (Parse_error
+           (!cursor,
+            Printf.sprintf "literal %d names variable %d, above M = %d" n
+              (n lsr 1) m));
+    n
+  in
   (* inputs *)
   for k = 0 to i - 1 do
     match tokens (next_line ()) with
-    | [ lit ] when int_of_string lit = 2 * (1 + k) -> ()
+    | [ s ] when num !cursor s = 2 * (1 + k) -> ()
     | _ -> raise (Parse_error (!cursor, "unexpected input literal"))
   done;
   let latch_next = Array.make l 0 in
@@ -302,9 +326,9 @@ let of_aag text =
   for k = 0 to l - 1 do
     match tokens (next_line ()) with
     | cur :: next :: rest ->
-      if int_of_string cur <> 2 * (1 + i + k) then
+      if num !cursor cur <> 2 * (1 + i + k) then
         raise (Parse_error (!cursor, "unexpected latch literal"));
-      latch_next.(k) <- int_of_string next;
+      latch_next.(k) <- lit next;
       (match rest with
        | [] | [ "0" ] -> latch_init.(k) <- false
        | [ "1" ] -> latch_init.(k) <- true
@@ -314,16 +338,16 @@ let of_aag text =
   let outputs = Array.make o 0 in
   for k = 0 to o - 1 do
     match tokens (next_line ()) with
-    | [ lit ] -> outputs.(k) <- int_of_string lit
+    | [ s ] -> outputs.(k) <- lit s
     | _ -> raise (Parse_error (!cursor, "bad output line"))
   done;
   let ands = Array.make a (0, 0) in
   for k = 0 to a - 1 do
     match tokens (next_line ()) with
     | [ lhs; r0; r1 ] ->
-      if int_of_string lhs <> 2 * (1 + i + l + k) then
+      if num !cursor lhs <> 2 * (1 + i + l + k) then
         raise (Parse_error (!cursor, "non-contiguous and gates"));
-      ands.(k) <- (int_of_string r0, int_of_string r1)
+      ands.(k) <- (lit r0, lit r1)
     | _ -> raise (Parse_error (!cursor, "bad and line"))
   done;
   (* symbol table *)

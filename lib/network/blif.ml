@@ -178,6 +178,24 @@ let parse_file path =
 
 let to_string (t : Netlist.t) =
   let buf = Buffer.create 1024 in
+  (* one scratch manager for the whole file, created on the first node
+     with fanins and given variables up to the widest node: an ISOP cover
+     depends only on the (canonical) BDD, not on what else the manager
+     holds *)
+  let scratch = ref None in
+  let scratch_man k =
+    let man =
+      match !scratch with
+      | Some man -> man
+      | None ->
+        let man = Bdd.Manager.create () in
+        scratch := Some man;
+        man
+    in
+    let missing = k - Bdd.Manager.num_vars man in
+    if missing > 0 then ignore (Bdd.Manager.new_vars man missing : int list);
+    man
+  in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pr ".model %s\n" t.name;
   pr ".inputs%s\n"
@@ -208,8 +226,7 @@ let to_string (t : Netlist.t) =
         end
         else begin
           (* emit an irredundant SOP cover computed via a scratch BDD *)
-          let man = Bdd.Manager.create () in
-          ignore (Bdd.Manager.new_vars man k : int list);
+          let man = scratch_man k in
           let bdd = Expr.to_bdd man (fun j -> Bdd.Ops.var_bdd man j) fn in
           if bdd = Bdd.Manager.one then pr "%s 1\n" (String.make k '-')
           else

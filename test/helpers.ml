@@ -18,6 +18,17 @@ let fresh_man ?(nvars = default_nvars) () =
 let all_envs ?(nvars = default_nvars) () =
   List.init (1 lsl nvars) (fun bits v -> bits land (1 lsl v) <> 0)
 
+(* [∃vars. p] at [env] by brute force: some assignment of [vars], the
+   rest of [env] kept, satisfies [p] *)
+let exists_brute vars p env =
+  let rec go env = function
+    | [] -> p env
+    | v :: rest ->
+      let set b w = if w = v then b else env w in
+      go (set false) rest || go (set true) rest
+  in
+  go env vars
+
 (* a small random BDD over vars [0, nvars): a depth-[depth] tree of
    and/or/xor over random literals *)
 let random_bdd ?(depth = 3) man nvars rng =

@@ -2,7 +2,9 @@
    on random BDD pairs and quantification cubes the fused operation must
    equal the two-step [exists (and)] computation, under cache stress —
    interleaved managers, repeated queries against a warm operator cache,
-   and queries re-run after a FORCE reorder into a fresh manager. *)
+   and queries re-run after a FORCE reorder into a fresh manager — and to
+   a brute-force truth table, with the second operand drawn in the shapes
+   the kernel short-circuits or rewrites. A warm hit must not allocate. *)
 
 module M = Bdd.Manager
 module O = Bdd.Ops
@@ -50,6 +52,37 @@ let prop_self_conjunction =
       let man, f, _ = build seed in
       let cube = quantify_cube man vars in
       O.and_exists man cube f f = O.exists man cube f)
+
+(* the second operand in a shape the kernel's rewrites act on: equal to
+   [f], its complement, the constant [one], a conjunction with [f], or
+   independent; the first operand is also tried in both orders *)
+let shaped_operand man shape f g =
+  match shape with
+  | 0 -> g
+  | 1 -> f
+  | 2 -> O.bnot man f
+  | 3 -> M.one
+  | _ -> O.band man f g
+
+let prop_truth_table =
+  QCheck.Test.make ~count:300 ~name:"and_exists = truth table"
+    QCheck.(pair (int_bound 4) instance_arb)
+    (fun (shape, (seed, vars)) ->
+      let man, f, g = build seed in
+      let g = shaped_operand man shape f g in
+      let cube = quantify_cube man vars in
+      let expected =
+        Helpers.exists_brute vars (fun e -> O.eval man f e && O.eval man g e)
+      in
+      let fg = O.and_exists man cube f g and gf = O.and_exists man cube g f in
+      let ok =
+        fg = gf
+        && List.for_all
+             (fun env -> O.eval man fg env = expected env)
+             (Helpers.all_envs ~nvars ())
+      in
+      M.check man;
+      ok)
 
 (* --- cache stress ---------------------------------------------------------- *)
 
@@ -101,6 +134,38 @@ let test_repeated_queries_hit_cache () =
   Alcotest.(check int) "stable after clear_caches" first
     (O.and_exists man cube f g)
 
+(* a warm cache hit allocates nothing: the probe returns the result or
+   -1, not an option. 10 000 hits each of [band] and [and_exists] stay
+   under 64 minor words (the counter reads themselves box a float). *)
+let test_warm_hits_allocate_nothing () =
+  let rng = Random.State.make [| 80 |] in
+  let man = Helpers.fresh_man ~nvars () in
+  let f = Helpers.random_bdd ~depth:4 man nvars rng in
+  let g = Helpers.random_bdd ~depth:4 man nvars rng in
+  let cube = O.cube_of_vars man [ 0; 2; 4; 6 ] in
+  let fg = O.band man f g and q = O.and_exists man cube f g in
+  (* each repeated call is exactly one probe, and it hits *)
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () ->
+      Alcotest.(check int) "band repeats" fg (O.band man f g);
+      Alcotest.(check int) "and_exists repeats" q (O.and_exists man cube f g);
+      List.iter
+        (fun name ->
+          Alcotest.(check int) (name ^ " = 1") 1 (Obs.Counter.find name))
+        [ "bdd.cache.lookups.ite"; "bdd.cache.hits.ite";
+          "bdd.cache.lookups.and_exists"; "bdd.cache.hits.and_exists" ]);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (O.band man f g : int);
+    ignore (O.and_exists man cube f g : int)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for 20 000 warm hits (< 64)" words)
+    true (words < 64.0);
+  M.check man
+
 (* the fused kernel must survive a reorder: recompute in the FORCE-reordered
    manager and compare against the migrated original result *)
 let test_post_reorder_queries () =
@@ -127,11 +192,13 @@ let () =
     [ ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_fused_equals_two_step; prop_operand_order_irrelevant;
-            prop_self_conjunction ] );
+            prop_self_conjunction; prop_truth_table ] );
       ( "cache stress",
         [ Alcotest.test_case "interleaved managers" `Quick
             test_interleaved_managers;
           Alcotest.test_case "repeated queries" `Quick
             test_repeated_queries_hit_cache;
           Alcotest.test_case "post-reorder queries" `Quick
-            test_post_reorder_queries ] ) ]
+            test_post_reorder_queries;
+          Alcotest.test_case "warm hits allocate nothing" `Quick
+            test_warm_hits_allocate_nothing ] ) ]

@@ -549,13 +549,113 @@ let prop_cubes_partition =
       in
       cover = b && pairwise_disjoint cs)
 
+(* --- kernel: ITE standard triples, truth tables, cache probes ------------- *)
+
+(* the operand triple of [ite] in one of the shapes its standard-triple
+   rewrites act on *)
+type ite_shape = General | G_is_f | H_is_f | And | Or | All_f
+
+let shape_print = function
+  | General -> "ite f g h"
+  | G_is_f -> "ite f f h"
+  | H_is_f -> "ite f g f"
+  | And -> "ite f g 0"
+  | Or -> "ite f 1 h"
+  | All_f -> "ite f f f"
+
+let shaped_ite_arb =
+  QCheck.(
+    make
+      ~print:(fun (sh, f, g, h) ->
+        Printf.sprintf "%s with f=%s g=%s h=%s" (shape_print sh)
+          (formula_print f) (formula_print g) (formula_print h))
+      Gen.(
+        quad
+          (oneofl [ General; G_is_f; H_is_f; And; Or; All_f ])
+          (formula_gen nvars) (formula_gen nvars) (formula_gen nvars)))
+
+let shaped sh f g h =
+  match sh with
+  | General -> (f, g, h)
+  | G_is_f -> (f, f, h)
+  | H_is_f -> (f, g, f)
+  | And -> (f, g, F_const false)
+  | Or -> (f, F_const true, h)
+  | All_f -> (f, f, f)
+
+let prop_ite_shapes =
+  QCheck.Test.make ~count:400 ~name:"ite on triple shapes = truth table"
+    shaped_ite_arb (fun (sh, f, g, h) ->
+      let m = fresh_man () in
+      let f, g, h = shaped sh f g h in
+      let bf = fbuild m f and bg = fbuild m g and bh = fbuild m h in
+      let r = O.ite m bf bg bh in
+      let semantic =
+        List.for_all
+          (fun env ->
+            O.eval m r env = if feval env f then feval env g else feval env h)
+          (all_envs ())
+      in
+      (* the commuted [and]/[or] is the same probe and the same node *)
+      let commuted =
+        match sh with
+        | And -> O.ite m bg bf M.zero = r && O.band m bg bf = r
+        | Or -> O.ite m bh M.one bf = r && O.bor m bh bf = r
+        | General | G_is_f | H_is_f | All_f -> true
+      in
+      M.check m;
+      semantic && commuted)
+
+let prop_exists_truth_table =
+  QCheck.Test.make ~count:300 ~name:"exists = truth table"
+    QCheck.(
+      pair (formula_arb nvars)
+        (list_of_size (Gen.int_range 0 nvars) (int_bound (nvars - 1))))
+    (fun (f, vars) ->
+      let m = fresh_man () in
+      let q = O.exists m (O.cube_of_vars m vars) (fbuild m f) in
+      let ok =
+        List.for_all
+          (fun env ->
+            O.eval m q env = Helpers.exists_brute vars (fun e -> feval e f) env)
+          (all_envs ())
+      in
+      M.check m;
+      ok)
+
+(* [band m g f] right after [band m f g] is answered by the entry the
+   first call stored: one ITE probe, one hit, no node *)
+let test_commuted_and_or_hit () =
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  let m = fresh_man () in
+  let f = O.bxor m (O.var_bdd m 0) (O.var_bdd m 2) in
+  let g = O.bor m (O.var_bdd m 1) (O.nvar_bdd m 3) in
+  let counters () =
+    List.map Obs.Counter.find
+      [ "bdd.cache.lookups.ite"; "bdd.cache.hits.ite"; "bdd.nodes_created" ]
+  in
+  List.iter
+    (fun (what, op) ->
+      let r = op m f g in
+      let before = counters () in
+      Alcotest.(check int) (what ^ ": same node") r (op m g f);
+      Alcotest.(check (list int))
+        (what ^ ": one ITE lookup, one hit, no node created")
+        (List.map2 ( + ) before [ 1; 1; 0 ])
+        (counters ()))
+    [ ("band", O.band); ("bor", O.bor) ];
+  M.check m
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_build_semantics; prop_not_involutive; prop_exists_semantics;
       prop_forall_semantics; prop_and_exists; prop_sat_count;
       prop_rename_roundtrip; prop_subst_semantics; prop_cubes_partition;
       prop_exists_nested; prop_compose_sequential;
-      prop_isop_exact; prop_isop_interval; prop_isop_irredundant ]
+      prop_isop_exact; prop_isop_interval; prop_isop_irredundant;
+      prop_ite_shapes; prop_exists_truth_table ]
 
 let () =
   Alcotest.run "bdd"
@@ -565,6 +665,8 @@ let () =
           Alcotest.test_case "canonicity" `Quick test_canonicity;
           Alcotest.test_case "de morgan" `Quick test_de_morgan;
           Alcotest.test_case "ite truth table" `Quick test_ite_truth_table;
+          Alcotest.test_case "commuted and/or is one cache hit" `Quick
+            test_commuted_and_or_hit;
           Alcotest.test_case "exists" `Quick test_exists_semantics;
           Alcotest.test_case "forall" `Quick test_forall_semantics;
           Alcotest.test_case "compose" `Quick test_compose;

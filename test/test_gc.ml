@@ -26,6 +26,18 @@ let reachable m root =
 
 let truth_table m f = List.map (O.eval m f) (all_envs ())
 
+(* every explicit collection in this suite is followed by the manager's
+   own invariant check *)
+let collect m =
+  let swept = M.collect m in
+  M.check m;
+  swept
+
+let collect_at_safe_point m =
+  let swept = M.collect_at_safe_point m in
+  M.check m;
+  swept
+
 (* a function with a nontrivial BDD: the majority of three literals *)
 let majority m =
   O.bor m
@@ -77,7 +89,7 @@ let test_sweep_and_reuse () =
   in
   Alcotest.(check bool) "the doomed function has own nodes" true (dead <> []);
   make_garbage m 50;
-  let swept = M.collect m in
+  let swept = collect m in
   Alcotest.(check bool) "something was swept" true (swept >= List.length dead);
   (* no swept id is reachable from the pinned root... *)
   let live_after = reachable m f in
@@ -114,7 +126,7 @@ let test_rebuilt_unique_table_canonical () =
   let f = majority m in
   M.protect m f;
   make_garbage m 30;
-  ignore (M.collect m : int);
+  ignore (collect m : int);
   (* canonicity across the rebuild: recomputing a live function must find
      the surviving node, not allocate a duplicate *)
   Alcotest.(check int) "recomputation hits the live node" f (majority m)
@@ -134,7 +146,8 @@ let test_frozen_defers_auto_gc () =
   (* fresh chains after the thaw refill the grown store until it collects *)
   make_garbage ~salt:10_000 m 500;
   Alcotest.(check bool) "collections resume after thaw" true
-    (M.gc_runs m > runs0)
+    (M.gc_runs m > runs0);
+  M.check m
 
 (* The safe point before a frozen section collects exactly when the store
    is at least 3/4 full of mostly dead nodes, auto-GC is on and the
@@ -156,7 +169,7 @@ let test_safe_point () =
   in
   let declines what m =
     Alcotest.(check int) (what ^ ": nothing swept") 0
-      (M.collect_at_safe_point m);
+      (collect_at_safe_point m);
     Alcotest.(check int) (what ^ ": no collection") 0 (M.gc_runs m)
   in
   let m, _, _ = filled () in
@@ -172,7 +185,7 @@ let test_safe_point () =
   declines "store under 3/4 full" m;
   let m, f, tt = filled () in
   Alcotest.(check bool) "collects when every condition holds" true
-    (M.collect_at_safe_point m > 0);
+    (collect_at_safe_point m > 0);
   Alcotest.(check int) "one collection" 1 (M.gc_runs m);
   Alcotest.(check (list bool)) "pinned function intact" tt (truth_table m f)
 
@@ -186,7 +199,7 @@ let test_protect_refcounted () =
   M.release m f;
   Alcotest.(check bool) "still pinned after one release" true (M.protected m f);
   let tt = truth_table m f in
-  ignore (M.collect m : int);
+  ignore (collect m : int);
   Alcotest.(check (list bool)) "survives while pinned" tt (truth_table m f);
   M.release m f;
   Helpers.check_invalid_arg "over-release" "protect" (fun () -> M.release m f)
@@ -199,11 +212,11 @@ let test_roots_set_scoped () =
       f := M.Roots.add rs (majority m);
       tt := truth_table m !f;
       make_garbage m 30;
-      ignore (M.collect m : int);
+      ignore (collect m : int);
       Alcotest.(check (list bool)) "pinned via the set" !tt (truth_table m !f));
   (* the scope released the set: the function is garbage now *)
   let size_before = M.store_size m in
-  let swept = M.collect m in
+  let swept = collect m in
   Alcotest.(check bool) "released roots are swept" true (swept > 0);
   Alcotest.(check int) "sweep is in place" size_before (M.store_size m)
 
@@ -217,6 +230,7 @@ let test_auto_gc_respects_pins () =
   let tt = truth_table m f in
   make_garbage m 500;
   Alcotest.(check bool) "the collector ran" true (M.gc_runs m > 0);
+  M.check m;
   Alcotest.(check (list bool)) "pinned function intact" tt (truth_table m f)
 
 (* --- the node limit bounds live nodes ----------------------------------------- *)
@@ -234,7 +248,9 @@ let test_node_limit_is_live_count () =
   Alcotest.check_raises "live blow-up" M.Node_limit_exceeded (fun () ->
       for i = 1 to 400 do
         M.protect m (minterm_chain m i)
-      done)
+      done);
+  (* the failed allocation left the store consistent *)
+  M.check m
 
 let test_gc_off_grows_only () =
   let m = tiny_man () in
@@ -259,10 +275,10 @@ let test_clear_caches_gc_interleaving () =
   M.clear_caches m;
   Alcotest.(check int) "same result after clear_caches" fg (O.band m f g);
   make_garbage m 40;
-  ignore (M.collect m : int);
+  ignore (collect m : int);
   Alcotest.(check int) "same result after collect" fg (O.band m f g);
   M.clear_caches m;
-  ignore (M.collect m : int);
+  ignore (collect m : int);
   M.clear_caches m;
   Alcotest.(check int) "same result after both" fg (O.band m f g);
   Alcotest.(check (list bool)) "truth table stable" tt (truth_table m fg)
@@ -278,7 +294,7 @@ let test_gc_counters () =
   let f = majority m in
   M.protect m f;
   make_garbage m 300;
-  ignore (M.collect m : int);
+  ignore (collect m : int);
   Alcotest.(check bool) "bdd.gc.runs advanced" true
     (Obs.Counter.find "bdd.gc.runs" > 0);
   Alcotest.(check bool) "bdd.gc.nodes_swept advanced" true
@@ -292,6 +308,34 @@ let test_gc_counters () =
   let swept = Obs.Counter.find "bdd.gc.nodes_swept" in
   let created = Obs.Counter.find "bdd.nodes_created" in
   Alcotest.(check bool) "swept bounded by created" true (swept <= created)
+
+(* --- the invariant check ------------------------------------------------------ *)
+
+let check_fails what substring m =
+  match M.check m with
+  | () -> Alcotest.fail (what ^ ": Manager.check passed")
+  | exception Failure msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: message %S mentions %S" what msg substring)
+      true
+      (Helpers.contains substring msg)
+
+(* [check] is not vacuous: it rejects what the raw API lets a client
+   build or pin by mistake *)
+let test_check_detects_violations () =
+  let m = Helpers.fresh_man ~nvars () in
+  let f = majority m in
+  M.protect m f;
+  M.check m;
+  (* [mk] does not validate the order of its arguments *)
+  ignore (M.mk m 3 (O.var_bdd m 1) M.zero : int);
+  check_fails "unordered node" "not above its children" m;
+  let m = Helpers.fresh_man ~nvars () in
+  let g = O.bxor m (O.var_bdd m 3) (O.var_bdd m 4) in
+  ignore (collect m : int);
+  (* [g] was never pinned: its id is on the free list now *)
+  M.protect m g;
+  check_fails "pinned free slot" "pinned id" m
 
 (* --- variable-table growth ----------------------------------------------------- *)
 
@@ -344,6 +388,9 @@ let () =
       ( "obs",
         [ Alcotest.test_case "gc counters and gauges" `Quick test_gc_counters ]
       );
+      ( "check",
+        [ Alcotest.test_case "check detects violations" `Quick
+            test_check_detects_violations ] );
       ( "vars",
         [ Alcotest.test_case "10k new_var under a second" `Quick
             test_new_var_10k_fast ] ) ]

@@ -332,6 +332,24 @@ let test_aag_parse_errors () =
   Alcotest.(check bool) "truncated" true
     (match Network.Aig.of_aag "aag 3 1 1 1 1\n2\n" with
      | exception Network.Aig.Parse_error _ -> true
+     | _ -> false);
+  Alcotest.(check bool) "bad number" true
+    (match Network.Aig.of_aag "aag 3 1 1 1 1\n2\n4 x\n6\n6 2 4\n" with
+     | exception Network.Aig.Parse_error (3, _) -> true
+     | _ -> false);
+  (* the latch's next-state literal 9 names variable 4 > M = 3: rejected
+     where it is read, not later by a bare Not_found *)
+  Alcotest.(check bool) "variable above M" true
+    (match Network.Aig.of_aag "aag 3 1 1 1 1\n2\n4 9\n6\n6 2 4\n" with
+     | exception Network.Aig.Parse_error (3, msg) ->
+       Helpers.contains "above M" msg
+     | _ -> false);
+  (* M = 4 leaves variable 4 undefined: legal to parse, but converting it
+     to a netlist must fail with a message *)
+  let aig = Network.Aig.of_aag "aag 4 1 1 1 1\n2\n4 8\n6\n6 2 4\n" in
+  Alcotest.(check bool) "undefined variable" true
+    (match Network.Aig.to_netlist aig with
+     | exception Failure msg -> Helpers.contains "variable 4" msg
      | _ -> false)
 
 (* --- VCD ------------------------------------------------------------------- *)
