@@ -58,6 +58,15 @@ type t = {
   mutable live_after_gc : int;  (* live count right after the last sweep *)
   mutable gc_runs : int;
   mutable gc_swept_total : int;
+  (* --- traversal state --- *)
+  (* one byte per store slot, all zero between calls: the collector's mark
+     and the visited set of [size_shared]/[support] *)
+  mutable mark : Bytes.t;
+  (* the collector's DFS stack, and the visit queue of the other walks *)
+  mutable walk : int array;
+  (* fresh nodes a capped conjunction ([band_capped]) may still create;
+     negative when no cap is in force *)
+  mutable fresh_left : int;
 }
 
 exception Node_limit_exceeded
@@ -161,6 +170,9 @@ let create ?(initial_capacity = 1024) () =
       live_after_gc = 2;
       gc_runs = 0;
       gc_swept_total = 0;
+      mark = Bytes.make cap '\000';
+      walk = Array.make 1024 0;
+      fresh_left = -1;
     }
   in
   m.low_of.(0) <- 0;
@@ -185,7 +197,9 @@ let grow_nodes m =
   in
   m.var_of <- extend m.var_of terminal_level;
   m.low_of <- extend m.low_of (-1);
-  m.high_of <- extend m.high_of (-1)
+  m.high_of <- extend m.high_of (-1);
+  (* no walk is in progress while a node is allocated: every mark is 0 *)
+  m.mark <- Bytes.make cap' '\000'
 
 (* the [max_cache_bits] cap is checked by the caller (on the allocation
    path, where paying a call per [mk] just to bounce off the cap inside
@@ -287,6 +301,8 @@ let stack_drop m n =
   let top = m.op_top - n in
   m.op_top <- (if top < 0 then 0 else top)
 
+let stack_depth m = m.op_top
+
 (* called at ladder safe points (Runtime.attach): an exception that unwound
    through an operation leaves its pins behind, harmlessly conservative
    until the next attempt starts *)
@@ -310,24 +326,27 @@ let gc_nodes_swept m = m.gc_swept_total
 
 (* --- mark and sweep ----------------------------------------------------- *)
 
+(* [m.walk] as a stack: push [id], growing the array when full *)
+let walk_push m sp id =
+  if sp = Array.length m.walk then begin
+    let a = Array.make (2 * sp) 0 in
+    Array.blit m.walk 0 a 0 sp;
+    m.walk <- a
+  end;
+  m.walk.(sp) <- id
+
 let collect m =
   if m.frozen > 0 then invalid_arg "Manager.collect: manager is frozen";
   let top = m.n_nodes in
-  let mark = Bytes.make top '\000' in
+  let mark = m.mark in
   Bytes.set mark 0 '\001';
   Bytes.set mark 1 '\001';
   (* iterative DFS from every pinned root; the depth of a BDD is bounded by
      the variable count but sibling chains are not, so use an explicit
      stack rather than recursion *)
-  let stack = ref (Array.make 1024 0) in
   let sp = ref 0 in
   let push id =
-    if !sp = Array.length !stack then begin
-      let a = Array.make (2 * !sp) 0 in
-      Array.blit !stack 0 a 0 !sp;
-      stack := a
-    end;
-    !stack.(!sp) <- id;
+    walk_push m !sp id;
     incr sp
   in
   let visit root =
@@ -335,7 +354,7 @@ let collect m =
       push root;
       while !sp > 0 do
         decr sp;
-        let id = !stack.(!sp) in
+        let id = m.walk.(!sp) in
         if Bytes.get mark id = '\000' then begin
           Bytes.set mark id '\001';
           let lo = m.low_of.(id) and hi = m.high_of.(id) in
@@ -357,7 +376,8 @@ let collect m =
   done;
   (* sweep: thread dead slots onto the free list (downwards, so the lowest
      dead id is reused first — deterministic and store-compacting in
-     tendency even without moving live nodes) *)
+     tendency even without moving live nodes), clearing the marks on the
+     way *)
   let swept = ref 0 in
   m.free_head <- -1;
   m.free_count <- 0;
@@ -370,7 +390,10 @@ let collect m =
       m.free_head <- id;
       m.free_count <- m.free_count + 1
     end
+    else Bytes.set mark id '\000'
   done;
+  Bytes.set mark 0 '\000';
+  Bytes.set mark 1 '\000';
   m.n_entries <- m.n_entries - !swept;
   m.live_after_gc <- m.n_entries;
   m.gc_runs <- m.gc_runs + 1;
@@ -408,6 +431,70 @@ let collect m =
       ~detail:(Printf.sprintf "swept=%d live=%d" !swept m.n_entries)
   end;
   !swept
+
+(* --- mark-buffer walks ------------------------------------------------------
+
+   [size_shared] and [support] share the collector's mark buffer: a walk
+   marks each decision node it reaches and queues it in [m.walk], whose
+   prefix is then the visited set, and clears exactly those marks before it
+   returns. Nothing is allocated per visited node, and no walk allocates a
+   BDD node, so no collection can run (and reuse the buffer) mid-walk. *)
+
+(* mark and queue the decision nodes reachable from [roots]; returns how
+   many, left marked in [m.walk.(0 .. n-1)] *)
+let mark_reachable m roots =
+  let mark = m.mark in
+  let n = ref 0 in
+  let enqueue id =
+    if id >= 2 && Bytes.get mark id = '\000' then begin
+      Bytes.set mark id '\001';
+      walk_push m !n id;
+      incr n
+    end
+  in
+  List.iter enqueue roots;
+  let i = ref 0 in
+  while !i < !n do
+    let id = m.walk.(!i) in
+    enqueue m.low_of.(id);
+    enqueue m.high_of.(id);
+    incr i
+  done;
+  !n
+
+let unmark m n =
+  for i = 0 to n - 1 do
+    Bytes.set m.mark m.walk.(i) '\000'
+  done
+
+let size_shared m roots =
+  let n = mark_reachable m roots in
+  unmark m n;
+  n
+
+let size m f = size_shared m [ f ]
+
+let support m f =
+  match Hashtbl.find_opt m.support_memo f with
+  | Some vars -> vars
+  | None ->
+    let n = mark_reachable m [ f ] in
+    let top = ref (-1) in
+    for i = 0 to n - 1 do
+      let v = m.var_of.(m.walk.(i)) in
+      if v > !top then top := v
+    done;
+    let seen = Bytes.make (!top + 1) '\000' in
+    for i = 0 to n - 1 do
+      Bytes.set seen m.var_of.(m.walk.(i)) '\001'
+    done;
+    unmark m n;
+    let vars = ref [] in
+    for v = !top downto 0 do
+      if Bytes.get seen v <> '\000' then vars := v :: !vars
+    done;
+    Hashtbl.replace m.support_memo f !vars;
+    !vars
 
 (* estimated dead ratio: every allocation since the last sweep is treated
    as potentially dead. Deterministic — it depends only on allocation
@@ -457,9 +544,17 @@ let pop_free m =
   m.free_count <- m.free_count - 1;
   id
 
+(* raised by [alloc] when a capped conjunction runs out of fresh nodes;
+   caught by [band_capped] *)
+exception Cap_reached
+
 (* [mk]'s miss path: commit a fresh node for [(v, lo, hi)], whose empty
    unique-table slot is [slot] unless a collection runs first *)
 let alloc m v lo hi slot =
+  if m.fresh_left >= 0 then begin
+    if m.fresh_left = 0 then raise_notrace Cap_reached;
+    m.fresh_left <- m.fresh_left - 1
+  end;
   let runs = m.gc_runs in
   (* the node budget bounds *live* nodes: when the entry count hits the
      limit, reclaim dead entries first and only fail if the live set
@@ -601,6 +696,11 @@ let check m =
     if not (live m.op_stack.(i)) then
       fail "operand-stack id %d is not a live node" m.op_stack.(i)
   done;
+  for id = 0 to Bytes.length m.mark - 1 do
+    if Bytes.get m.mark id <> '\000' then
+      fail "mark byte %d is set between traversals" id
+  done;
+  if m.fresh_left >= 0 then fail "a fresh-node cap is in force between calls";
   (* key slots [a] and [b] and the result are node ids for every tag *)
   for s = 0 to m.c_mask do
     if m.c_key_op.(s) >= 0
@@ -648,8 +748,6 @@ let clear_caches m =
   end;
   Array.fill m.c_key_op 0 (Array.length m.c_key_op) (-1);
   Hashtbl.reset m.support_memo
-
-let support_memo m = m.support_memo
 
 (* --- cached recursive operations ------------------------------------------
 
@@ -945,3 +1043,25 @@ let rec compose m f v g =
       cache_store m op_compose f g v r;
       r
     end
+
+(* [f ∧ g], or [-1] once it would create more than [max_new] fresh nodes.
+   Every node the conjunction creates is reachable from its result, so an
+   abort proves [size (f ∧ g) > max_new]. The nodes created before the
+   abort stay in the store as garbage; their cache entries are valid. *)
+let band_capped m f g ~max_new =
+  let top = m.op_top and cap = m.fresh_left in
+  let restore () =
+    m.op_top <- top;
+    m.fresh_left <- cap
+  in
+  m.fresh_left <- (if max_new < 0 then 0 else max_new);
+  match ite m f g zero with
+  | r ->
+    m.fresh_left <- cap;
+    r
+  | exception Cap_reached ->
+    restore ();
+    -1
+  | exception e ->
+    restore ();
+    raise e

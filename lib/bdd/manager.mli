@@ -169,6 +169,9 @@ val stack_push : t -> int -> unit
 val stack_drop : t -> int -> unit
 (** Pop the [n] most recent operand pins. *)
 
+val stack_depth : t -> int
+(** Operand pins currently held (the number {!stack_drop} could pop). *)
+
 val reset_op_stack : t -> unit
 (** Drop every operand pin. Only sound at a safe point — no BDD operation
     of this manager on the OCaml call stack. The solver runtime calls
@@ -217,11 +220,6 @@ val gc_runs : t -> int
 val gc_nodes_swept : t -> int
 (** Total nodes reclaimed over the manager's lifetime. *)
 
-val support_memo : t -> (int, int list) Hashtbl.t
-(** Memo table from node id to its (sorted) support, shared by {!Ops.support}
-    callers. Nodes are immutable, so entries never go stale; the collector
-    removes entries whose key id was swept before the id can be reused. *)
-
 val clear_caches : t -> unit
 (** Drop all memoized operation results (never required for correctness). *)
 
@@ -233,7 +231,8 @@ val check : t -> unit
     the slot its key probes to, and nothing else; the free list holds
     exactly the free slots; the live count matches; every pin count is
     positive and every pinned, root-set, operand-stack, cached and
-    support-memo id is live. Costs a pass over the store and both tables
+    support-memo id is live; the traversal mark buffer is all zero and no
+    {!band_capped} cap is in force. Costs a pass over the store and both tables
     — a test and debugging aid. *)
 
 (** {2 Cached recursive operations}
@@ -250,3 +249,24 @@ val and_exists : t -> int -> int -> int -> int
 val cofactor : t -> int -> int -> bool -> int
 val cofactor_cube : t -> int -> int -> int
 val compose : t -> int -> int -> int -> int
+
+val band_capped : t -> int -> int -> max_new:int -> int
+(** [band_capped m f g ~max_new] is [f ∧ g], or [-1] as soon as computing
+    it would create more than [max_new] fresh nodes. Every node the
+    conjunction creates is reachable from its result, so [-1] implies
+    [size (f ∧ g) > max_new]. On abort the operand stack and any enclosing
+    cap are restored; the nodes created so far are left as garbage (their
+    cache entries stay valid, so a later uncapped [f ∧ g] reuses them). *)
+
+(** {2 Traversals}
+
+    Walks over the node graph that mark visited nodes in one buffer owned
+    by the manager (the collector's mark), all zero between calls; {!Ops}
+    re-exports them. *)
+
+val size : t -> int -> int
+val size_shared : t -> int list -> int
+
+val support : t -> int -> int list
+(** Memoized per node id; the collector drops the entries of swept ids
+    and {!clear_caches} drops them all. *)

@@ -1,7 +1,8 @@
 module M = Manager
 
-(* The cached recursive operations live in [Manager], next to the node
-   store (see the comment there); they are re-exported here. The GC
+(* The cached recursive operations and the mark-buffer traversals
+   ([support], [size]) live in [Manager], next to the node store (see the
+   comments there); they are re-exported here. The GC
    discipline they follow holds for the compositions below too: the
    caller keeps the operands alive, and an intermediate is pinned on the
    operand stack while a later operation may allocate. *)
@@ -110,26 +111,7 @@ let subst m f lookup =
   in
   go f
 
-let support m f =
-  match Hashtbl.find_opt (M.support_memo m) f with
-  | Some vars -> vars
-  | None ->
-    let visited = Hashtbl.create 64 in
-    let vars = Hashtbl.create 16 in
-    let rec go f =
-      if (not (M.is_const f)) && not (Hashtbl.mem visited f) then begin
-        Hashtbl.add visited f ();
-        Hashtbl.replace vars (M.var m f) ();
-        go (M.low m f);
-        go (M.high m f)
-      end
-    in
-    go f;
-    let result =
-      List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) vars [])
-    in
-    Hashtbl.replace (M.support_memo m) f result;
-    result
+let support = M.support
 
 let support_union m fs =
   List.sort_uniq compare (List.concat_map (support m) fs)
@@ -168,21 +150,8 @@ let rename m f pairs =
         | Some b -> Some (var_bdd m b)
         | None -> None)
 
-let size_shared m fs =
-  let visited = Hashtbl.create 64 in
-  let count = ref 0 in
-  let rec go f =
-    if (not (M.is_const f)) && not (Hashtbl.mem visited f) then begin
-      Hashtbl.add visited f ();
-      incr count;
-      go (M.low m f);
-      go (M.high m f)
-    end
-  in
-  List.iter go fs;
-  !count
-
-let size m f = size_shared m [ f ]
+let size_shared = M.size_shared
+let size = M.size
 
 let sat_count m f nvars =
   let memo = Hashtbl.create 64 in

@@ -56,8 +56,13 @@ let cluster_affinity t ~threshold =
       | None -> continue := false
       | Some (i, j, key) ->
         let pi = fst arr.(i) and pj = fst arr.(j) in
-        let candidate = O.band t.man pi pj in
-        if O.size t.man candidate <= threshold then begin
+        (* a conjunction that creates more than [threshold] nodes is larger
+           than that, so it is abandoned mid-build ([-1]) and never
+           materialised: only the nodes it created so far are garbage *)
+        let candidate =
+          Bdd.Manager.band_capped t.man pi pj ~max_new:threshold
+        in
+        if candidate >= 0 && O.size t.man candidate <= threshold then begin
           let merged = (candidate, supp candidate) in
           let out = ref [] in
           Array.iteri

@@ -2,13 +2,15 @@ exception Parse_error of int * string
 
 let fail line msg = raise (Parse_error (line, msg))
 
+(* the records that read nets carry their line, for error messages *)
 type raw = {
   mutable model : string;
   mutable rinputs : string list;
-  mutable routputs : string list;
-  mutable rlatches : (string * string * bool) list; (* input, output, init *)
-  mutable rnames : (string * string list * (string * bool) list) list;
-      (* output, inputs, cover rows *)
+  mutable routputs : (string * int) list;
+  mutable rlatches : (string * string * bool * int) list;
+      (* input, output, init, line *)
+  mutable rnames : (string * string list * (string * bool) list * int) list;
+      (* output, inputs, cover rows, line *)
 }
 
 (* Split the text into logical lines: strip comments, join continuations. *)
@@ -52,13 +54,27 @@ let parse_raw text =
     { model = "blif"; rinputs = []; routputs = []; rlatches = []; rnames = [] }
   in
   let lines = logical_lines text in
+  (* every net has one driver: a primary input, a latch or a .names. Sized
+     for one driver per line, so parsing a large file never rehashes it. *)
+  let driven = Hashtbl.create (List.length lines) in
+  let drive lineno net =
+    match Hashtbl.find_opt driven net with
+    | Some first ->
+      fail lineno (Printf.sprintf "%s is already driven at line %d" net first)
+    | None -> Hashtbl.add driven net lineno
+  in
   let rec go = function
     | [] -> ()
     | (lineno, line) :: rest -> (
       match tokens line with
       | ".model" :: name :: _ -> raw.model <- name; go rest
-      | ".inputs" :: sigs -> raw.rinputs <- raw.rinputs @ sigs; go rest
-      | ".outputs" :: sigs -> raw.routputs <- raw.routputs @ sigs; go rest
+      | ".inputs" :: sigs ->
+        List.iter (drive lineno) sigs;
+        raw.rinputs <- raw.rinputs @ sigs;
+        go rest
+      | ".outputs" :: sigs ->
+        raw.routputs <- raw.routputs @ List.map (fun s -> (s, lineno)) sigs;
+        go rest
       | ".latch" :: args ->
         let input, output, init =
           match args with
@@ -73,7 +89,8 @@ let parse_raw text =
           | "0" | "2" | "3" -> false (* don't-care/unknown resets to 0 *)
           | _ -> fail lineno "bad latch init value"
         in
-        raw.rlatches <- (input, output, init_bool) :: raw.rlatches;
+        drive lineno output;
+        raw.rlatches <- (input, output, init_bool, lineno) :: raw.rlatches;
         go rest
       | ".names" :: sigs ->
         let fanins, out =
@@ -81,6 +98,7 @@ let parse_raw text =
           | out :: rev_ins -> (List.rev rev_ins, out)
           | [] -> fail lineno "empty .names"
         in
+        drive lineno out;
         let is_cover_row (_, l) =
           String.length l > 0
           && l.[0] <> '.'
@@ -113,7 +131,8 @@ let parse_raw text =
             ("", v)
           | _ -> fail ln "bad cover row"
         in
-        raw.rnames <- (out, fanins, List.map parse_row rows) :: raw.rnames;
+        raw.rnames <-
+          (out, fanins, List.map parse_row rows, lineno) :: raw.rnames;
         go rest
       | ".end" :: _ -> ()
       | [ ".exdc" ] -> () (* ignore external don't-care section onwards *)
@@ -135,23 +154,33 @@ let build_netlist raw =
     (fun s -> Hashtbl.replace env s (Netlist.add_input b s))
     raw.rinputs;
   List.iter
-    (fun (_, out, init) ->
+    (fun (_, out, init, _) ->
       Hashtbl.replace env out (Netlist.add_latch b ~name:out ~init ()))
     raw.rlatches;
+  (* an undefined or cyclic net is reported at the earliest line that
+     reads it *)
+  let fail_at s msg =
+    let first = ref max_int in
+    let use line s' = if s' = s && line < !first then first := line in
+    List.iter (fun (_, fanins, _, line) -> List.iter (use line) fanins) raw.rnames;
+    List.iter (fun (input, _, _, line) -> use line input) raw.rlatches;
+    List.iter (fun (s', line) -> use line s') raw.routputs;
+    fail !first (msg ^ " " ^ s)
+  in
   (* Order the .names blocks topologically (fanins may be defined later in
-     the file). *)
+     the file). Each output has one block: [parse_raw] rejects a second
+     driver. *)
   let defs = Hashtbl.create 64 in
-  List.iter (fun (out, _, _ as d) -> Hashtbl.replace defs out d) raw.rnames;
+  List.iter (fun (out, _, _, _ as d) -> Hashtbl.replace defs out d) raw.rnames;
   let placing = Hashtbl.create 64 in
   let rec place out =
     match Hashtbl.find_opt env out with
     | Some net -> net
     | None ->
-      if Hashtbl.mem placing out then
-        fail 0 (Printf.sprintf "combinational cycle through %s" out);
+      if Hashtbl.mem placing out then fail_at out "combinational cycle through";
       (match Hashtbl.find_opt defs out with
-       | None -> fail 0 (Printf.sprintf "undefined signal %s" out)
-       | Some (_, fanins, rows) ->
+       | None -> fail_at out "undefined signal"
+       | Some (_, fanins, rows, _) ->
          Hashtbl.replace placing out ();
          let fanin_nets = Array.of_list (List.map place fanins) in
          let fn = Expr.of_cover ~ncols:(List.length fanins) rows in
@@ -159,12 +188,12 @@ let build_netlist raw =
          Hashtbl.replace env out net;
          net)
   in
-  List.iter (fun (out, _, _) -> ignore (place out : Netlist.net)) raw.rnames;
+  List.iter (fun (out, _, _, _) -> ignore (place out : Netlist.net)) raw.rnames;
   List.iter
-    (fun (input, out, _) ->
+    (fun (input, out, _, _) ->
       Netlist.set_latch_input b (Hashtbl.find env out) (place input))
     raw.rlatches;
-  List.iter (fun s -> Netlist.add_output b s (place s)) raw.routputs;
+  List.iter (fun (s, _) -> Netlist.add_output b s (place s)) raw.routputs;
   Netlist.freeze b
 
 let parse_string text = build_netlist (parse_raw text)

@@ -98,3 +98,95 @@ let check_invalid_arg msg substring f =
     Alcotest.(check bool)
       (Printf.sprintf "%s: message %S mentions %S" msg m substring)
       true (contains substring m)
+
+(* --- reference walks and clustering ----------------------------------------
+
+   The straightforward versions the library's are checked against: walks
+   with a Hashtbl visited set per call (the library marks a buffer owned
+   by the manager), and affinity clustering that conjoins every candidate
+   pair in full (the library abandons a candidate past the size cap). *)
+
+let size_shared_hashtbl m fs =
+  let visited = Hashtbl.create 64 in
+  let count = ref 0 in
+  let rec go f =
+    if (not (M.is_const f)) && not (Hashtbl.mem visited f) then begin
+      Hashtbl.add visited f ();
+      incr count;
+      go (M.low m f);
+      go (M.high m f)
+    end
+  in
+  List.iter go fs;
+  !count
+
+let support_hashtbl m f =
+  let visited = Hashtbl.create 64 in
+  let vars = Hashtbl.create 16 in
+  let rec go f =
+    if (not (M.is_const f)) && not (Hashtbl.mem visited f) then begin
+      Hashtbl.add visited f ();
+      Hashtbl.replace vars (M.var m f) ();
+      go (M.low m f);
+      go (M.high m f)
+    end
+  in
+  go f;
+  List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) vars [])
+
+let jaccard s1 s2 =
+  let rec go a b inter union =
+    match (a, b) with
+    | [], rest | rest, [] -> (inter, union + List.length rest)
+    | x :: xs, y :: ys ->
+      if x = y then go xs ys (inter + 1) (union + 1)
+      else if x < y then go xs b inter (union + 1)
+      else go a ys inter (union + 1)
+  in
+  let inter, union = go s1 s2 0 0 in
+  if union = 0 then 1.0 else float_of_int inter /. float_of_int union
+
+(* affinity clustering of [parts] up to [threshold] nodes, each candidate
+   pair conjoined in full and then measured *)
+let cluster_affinity_uncapped man parts ~threshold =
+  if threshold <= 1 then parts
+  else
+    M.with_frozen man @@ fun () ->
+    let supp p = support_hashtbl man p in
+    let items = ref (List.map (fun p -> (p, supp p)) parts) in
+    let blocked = Hashtbl.create 16 in
+    let continue = ref true in
+    while !continue do
+      let arr = Array.of_list !items in
+      let n = Array.length arr in
+      let best = ref None and best_aff = ref neg_infinity in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          let pi, si = arr.(i) and pj, sj = arr.(j) in
+          let key = if pi <= pj then (pi, pj) else (pj, pi) in
+          if not (Hashtbl.mem blocked key) then begin
+            let a = jaccard si sj in
+            if a > !best_aff then begin
+              best_aff := a;
+              best := Some (i, j, key)
+            end
+          end
+        done
+      done;
+      match !best with
+      | None -> continue := false
+      | Some (i, j, key) ->
+        let candidate = O.band man (fst arr.(i)) (fst arr.(j)) in
+        if size_shared_hashtbl man [ candidate ] <= threshold then begin
+          let merged = (candidate, supp candidate) in
+          let out = ref [] in
+          Array.iteri
+            (fun k it ->
+              if k = i then out := merged :: !out
+              else if k <> j then out := it :: !out)
+            arr;
+          items := List.rev !out
+        end
+        else Hashtbl.replace blocked key ()
+    done;
+    List.map fst !items

@@ -648,6 +648,72 @@ let test_commuted_and_or_hit () =
     [ ("band", O.band); ("bor", O.bor) ];
   M.check m
 
+(* [band_capped] is [band] or [-1], and [-1] exactly when the conjunction
+   would create more than [cap] nodes (counted on a twin manager built the
+   same way), which implies it has more than [cap] nodes. An abort leaves
+   the operand stack as it was and the manager consistent, and the
+   uncapped [band] afterwards finds the same node. [precomputed] runs the
+   full [band] first, so the capped call creates nothing and never
+   aborts. *)
+let prop_band_capped =
+  QCheck.Test.make ~count:400 ~name:"band_capped = band or -1 past the cap"
+    QCheck.(
+      quad (formula_arb nvars) (formula_arb nvars) (int_range (-2) 2) bool)
+    (fun (f, g, slack, precomputed) ->
+      let operands () =
+        let m = fresh_man () in
+        (m, fbuild m f, fbuild m g)
+      in
+      let created =
+        let m, bf, bg = operands () in
+        let before = M.live_nodes m in
+        ignore (O.band m bf bg : int);
+        M.live_nodes m - before
+      in
+      let m, bf, bg = operands () in
+      if precomputed then ignore (O.band m bf bg : int);
+      let fresh = if precomputed then 0 else created in
+      let cap = max 0 (fresh + slack) in
+      let depth = M.stack_depth m in
+      let r = M.band_capped m bf bg ~max_new:cap in
+      let depth_kept = M.stack_depth m = depth in
+      M.check m;
+      let full = O.band m bf bg in
+      M.check m;
+      depth_kept
+      && r = (if fresh > cap then -1 else full)
+      && (r >= 0 || O.size m full > cap))
+
+(* the mark-buffer walks agree with Hashtbl walks on DAGs that share
+   nodes, and again after a collection has reused the mark buffer *)
+let prop_traversals =
+  let wide = 8 in
+  QCheck.Test.make ~count:200 ~name:"size, size_shared, support = Hashtbl walks"
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 1 4) (formula_arb wide))
+        (formula_arb wide))
+    (fun (fs, garbage) ->
+      let m = Helpers.fresh_man ~nvars:wide () in
+      let agree roots =
+        List.for_all
+          (fun r ->
+            O.size m r = Helpers.size_shared_hashtbl m [ r ]
+            && O.support m r = Helpers.support_hashtbl m r)
+          roots
+        && O.size_shared m roots = Helpers.size_shared_hashtbl m roots
+      in
+      let roots = List.map (fbuild m) fs in
+      List.iter (M.protect m) roots;
+      let before = agree roots in
+      M.check m;
+      ignore (fbuild m garbage : int);
+      ignore (M.collect m : int);
+      M.check m;
+      let after = agree roots in
+      M.check m;
+      before && after)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_build_semantics; prop_not_involutive; prop_exists_semantics;
@@ -655,7 +721,8 @@ let qcheck_cases =
       prop_rename_roundtrip; prop_subst_semantics; prop_cubes_partition;
       prop_exists_nested; prop_compose_sequential;
       prop_isop_exact; prop_isop_interval; prop_isop_irredundant;
-      prop_ite_shapes; prop_exists_truth_table ]
+      prop_ite_shapes; prop_exists_truth_table; prop_band_capped;
+      prop_traversals ]
 
 let () =
   Alcotest.run "bdd"

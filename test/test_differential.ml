@@ -122,6 +122,42 @@ let mismatch_worklist p =
   | Some _ as m -> m
   | None -> check "monolithic" (fst (E.Monolithic.solve_arena prob))
 
+(* Capped-clustering oracle: [Partition.apply (Affinity n)] abandons
+   candidate conjunctions that outgrow [n] mid-build; it must return the
+   same parts in the same order as clustering that builds every candidate
+   in full ([Helpers.cluster_affinity_uncapped]). Both run on one manager,
+   so equal functions are equal ids; the capped run goes first, on a
+   fresh problem, so that no candidate is already in the store. *)
+let mismatch_capped p =
+  let check (what, parts_of) threshold =
+    let _, prob = E.Split.problem (netlist p) ~x_latches:(x_latches p) in
+    let man = prob.E.Problem.man in
+    let parts = parts_of prob in
+    Bdd.Manager.with_roots man @@ fun rs ->
+    let capped =
+      (Img.Partition.apply
+         (Img.Partition.of_relations man parts)
+         (Img.Partition.Affinity threshold))
+        .Img.Partition.parts
+      |> List.map (Bdd.Manager.Roots.add rs)
+    in
+    let reference = Helpers.cluster_affinity_uncapped man parts ~threshold in
+    if capped <> reference then
+      Some
+        (Printf.sprintf "%s at affinity:%d: %d capped parts [%s], %d uncapped [%s]"
+           what threshold (List.length capped)
+           (String.concat " " (List.map string_of_int capped))
+           (List.length reference)
+           (String.concat " " (List.map string_of_int reference)))
+    else None
+  in
+  List.find_map
+    (fun (parts, threshold) -> check parts threshold)
+    (List.concat_map
+       (fun parts -> [ (parts, 20); (parts, 50); (parts, 500) ])
+       [ ("transition parts", E.Problem.transition_parts);
+         ("u-relation parts", E.Problem.u_relation_parts) ])
+
 (* Shrink a failing instance by dropping latches (3 is the floor: the X
    component always takes two). [failing] reports why an instance fails,
    or [None]; the returned instance still fails. *)
@@ -196,6 +232,18 @@ let test_clusterings_agree () =
            (describe p') msg' (describe p))
   done
 
+let test_capped_clustering_agrees () =
+  for i = 0 to n_instances - 1 do
+    let p = instance i in
+    match mismatch_capped p with
+    | None -> ()
+    | Some msg ->
+      let p', msg' = shrink ~failing:mismatch_capped p msg in
+      Alcotest.fail
+        (Printf.sprintf "capped clustering differs on [%s]: %s (shrunk from [%s])"
+           (describe p') msg' (describe p))
+  done
+
 let test_worklist_agrees () =
   for i = 0 to n_instances - 1 do
     let p = instance i in
@@ -253,6 +301,10 @@ let () =
         [ Alcotest.test_case
             (Printf.sprintf "%d random netlists" n_instances)
             `Slow test_clusterings_agree ] );
+      ( "capped vs uncapped clustering",
+        [ Alcotest.test_case
+            (Printf.sprintf "%d random netlists" n_instances)
+            `Slow test_capped_clustering_agrees ] );
       ( "worklist vs sweep csf",
         [ Alcotest.test_case
             (Printf.sprintf "%d random netlists" n_instances)

@@ -309,6 +309,53 @@ let test_gc_counters () =
   let created = Obs.Counter.find "bdd.nodes_created" in
   Alcotest.(check bool) "swept bounded by created" true (swept <= created)
 
+(* --- capped conjunctions ------------------------------------------------------ *)
+
+(* f = x0 ∧ x2 ∧ x4 and g = x1 ∧ x3: their conjunction is a five-node
+   chain of which only the x4 node already exists *)
+let chains m =
+  let f = O.conj m [ O.var_bdd m 0; O.var_bdd m 2; O.var_bdd m 4 ] in
+  M.protect m f;
+  let g = O.conj m [ O.var_bdd m 1; O.var_bdd m 3 ] in
+  M.protect m g;
+  (f, g)
+
+let test_capped_boundary () =
+  let created =
+    let m = Helpers.fresh_man ~nvars () in
+    let f, g = chains m in
+    let before = M.live_nodes m in
+    ignore (O.band m f g : int);
+    M.live_nodes m - before
+  in
+  Alcotest.(check int) "the conjunction creates four nodes" 4 created;
+  let m = Helpers.fresh_man ~nvars () in
+  let f, g = chains m in
+  (* sweep the literals the operands were built from *)
+  ignore (collect m : int);
+  Alcotest.(check int) "one node short: abort" (-1)
+    (M.band_capped m f g ~max_new:(created - 1));
+  M.check m;
+  Alcotest.(check int) "the abort's partial nodes are garbage" (created - 1)
+    (collect m);
+  let r = M.band_capped m f g ~max_new:created in
+  Alcotest.(check int) "exactly enough: the conjunction" (O.band m f g) r;
+  M.check m
+
+let test_capped_node_limit () =
+  (* a node-limit failure inside a capped call unwinds like an abort: no
+     operand pin and no cap outlives it *)
+  let m = Helpers.fresh_man ~nvars () in
+  let f, g = chains m in
+  M.set_node_limit m (Some (M.live_nodes m + 1));
+  let depth = M.stack_depth m in
+  Alcotest.check_raises "node limit" M.Node_limit_exceeded (fun () ->
+      ignore (M.band_capped m f g ~max_new:100 : int));
+  Alcotest.(check int) "operand stack restored" depth (M.stack_depth m);
+  M.check m;
+  M.set_node_limit m None;
+  Alcotest.(check bool) "uncapped afterwards" true (O.band m f g >= 2)
+
 (* --- the invariant check ------------------------------------------------------ *)
 
 let check_fails what substring m =
@@ -388,6 +435,10 @@ let () =
       ( "obs",
         [ Alcotest.test_case "gc counters and gauges" `Quick test_gc_counters ]
       );
+      ( "capped",
+        [ Alcotest.test_case "abort boundary" `Quick test_capped_boundary;
+          Alcotest.test_case "node limit inside" `Quick
+            test_capped_node_limit ] );
       ( "check",
         [ Alcotest.test_case "check detects violations" `Quick
             test_check_detects_violations ] );

@@ -191,7 +191,39 @@ let test_blif_errors () =
   Alcotest.(check bool) "undefined output rejected" true
     (match B.parse_string undefined with
      | exception B.Parse_error _ -> true
-     | _ -> false)
+     | _ -> false);
+  (* each malformed file fails at [line] with a message naming [what] *)
+  let rejects name text line what =
+    match B.parse_string text with
+    | exception B.Parse_error (l, msg) ->
+      Alcotest.(check int) (name ^ ": line") line l;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S mentions %S" name msg what)
+        true (Helpers.contains what msg)
+    | _ -> Alcotest.failf "%s: accepted" name
+  in
+  let head = ".model m\n.inputs a b\n.outputs o\n" in
+  rejects "two .names drive one net"
+    (head ^ ".names a o\n1 1\n.names a o\n0 1\n.end\n")
+    6 "o is already driven at line 4";
+  rejects ".names drives a primary input"
+    (head ^ ".names a o\n1 1\n.names o b\n1 1\n.end\n")
+    6 "b is already driven at line 2";
+  rejects ".names drives a latch output"
+    (head ^ ".latch a q 0\n.names a q\n1 1\n.names q o\n1 1\n.end\n")
+    5 "q is already driven at line 4";
+  rejects "two latches drive one net"
+    (head ^ ".latch a q 0\n.latch b q 1\n.names q o\n1 1\n.end\n")
+    5 "q is already driven at line 4";
+  rejects "a latch drives a primary input"
+    (head ^ ".latch o a 0\n.names b o\n1 1\n.end\n")
+    4 "a is already driven at line 2";
+  rejects "undefined signal at its first use"
+    (head ^ ".names a w o\n11 1\n.names w z\n1 1\n.end\n")
+    4 "undefined signal w";
+  rejects "combinational cycle at its first use"
+    (head ^ ".names a p o\n11 1\n.names q p\n1 1\n.names p q\n0 1\n.end\n")
+    4 "combinational cycle through p"
 
 (* --- Transform ------------------------------------------------------------- *)
 

@@ -349,6 +349,22 @@ let test_completed_solve_detaches () =
   Alcotest.(check bool) "contained" true contained;
   Alcotest.(check bool) "equal" true equal
 
+(* t349 under a 10 000 live-node budget completes on its first rung: the
+   affinity clustering of its build phase abandons oversized candidate
+   conjunctions mid-build instead of filling the frozen store with them
+   (`lesolve solve t349.blif -x x5,x6,x7,x8 --node-limit 10000`) *)
+let test_tight_budget_first_rung () =
+  let row = Circuits.Suite.find "t349" in
+  let r =
+    report_of
+      (E.Solve.solve_split ~node_limit:10_000
+         ~method_:E.Solve.default_partitioned row.Circuits.Suite.net
+         ~x_latches:row.Circuits.Suite.x_latches)
+  in
+  Alcotest.(check string) "solved by" "partitioned/greedy" r.E.Solve.solved_by;
+  Alcotest.(check int) "no failed attempt" 0 (List.length r.E.Solve.attempts);
+  Alcotest.(check bool) "under budget" true (r.E.Solve.peak_nodes <= 10_000)
+
 let () =
   Alcotest.run "runtime"
     [ ( "fault",
@@ -393,4 +409,6 @@ let () =
             test_monolithic_single_attempt ] );
       ( "recovery",
         [ Alcotest.test_case "real circuit recovered by ladder" `Slow
-            test_real_circuit_ladder_recovery ] ) ]
+            test_real_circuit_ladder_recovery;
+          Alcotest.test_case "t349 at 10k nodes on the first rung" `Quick
+            test_tight_budget_first_rung ] ) ]
