@@ -99,11 +99,13 @@ let op_exists = 3
 let op_and_exists = 4
 let op_compose = 5
 let op_constrain = 6
+let op_leq = 7
 
 (* per-operation cache counters, indexed by tag; slot 0 is unused and maps
    to the dummy cell *)
 let op_names =
-  [| ""; "ite"; "not"; "exists"; "and_exists"; "compose"; "constrain" |]
+  [| ""; "ite"; "not"; "exists"; "and_exists"; "compose"; "constrain";
+     "leq" |]
 
 let per_op prefix =
   Array.mapi
@@ -1065,3 +1067,28 @@ let band_capped m f g ~max_new =
   | exception e ->
     restore ();
     raise e
+
+(* [f → g] (CUDD's [Cudd_bddLeq]): a walk over the pair of graphs that
+   stops at the first cofactor pair where [f] holds and [g] does not. It
+   creates no node, so no collection can run inside it, and the cache
+   holds its verdict as the constant [one] or [zero]. *)
+let rec leq m f g =
+  if f = g || f = zero || g = one then true
+  else if f = one || g = zero then false
+  else
+    let r = cache_find m op_leq f g 0 in
+    if r >= 0 then r = one
+    else begin
+      let vf = m.var_of.(f) and vg = m.var_of.(g) in
+      let v = imin vf vg in
+      let r =
+        leq m
+          (if vf = v then m.low_of.(f) else f)
+          (if vg = v then m.low_of.(g) else g)
+        && leq m
+             (if vf = v then m.high_of.(f) else f)
+             (if vg = v then m.high_of.(g) else g)
+      in
+      cache_store m op_leq f g 0 (if r then one else zero);
+      r
+    end

@@ -258,6 +258,11 @@ val band_capped : t -> int -> int -> max_new:int -> int
     cap are restored; the nodes created so far are left as garbage (their
     cache entries stay valid, so a later uncapped [f ∧ g] reuses them). *)
 
+val leq : t -> int -> int -> bool
+(** [leq m f g] is [f → g], i.e. [f ∧ ¬g = 0], decided without building
+    either BDD: it creates no node (so it never collects or allocates on
+    the OCaml heap) and caches its verdicts under their own tag. *)
+
 (** {2 Traversals}
 
     Walks over the node graph that mark visited nodes in one buffer owned

@@ -1,7 +1,12 @@
 module M = Bdd.Manager
 module O = Bdd.Ops
 
-type stats = { subset_states : int; image_computations : int; peak_nodes : int }
+type stats = {
+  subset_states : int;
+  image_computations : int;
+  q_clusters : int;
+  peak_nodes : int;
+}
 
 (* Bench ablation on t298: the sweet spot of the clustering threshold is a
    few hundred nodes (EXPERIMENTS.md). *)
@@ -11,53 +16,64 @@ let default_clustering = Img.Partition.Affinity 500
 let dcn = 0
 and dca = 1
 
-let oracle ?runtime ~strategy ~clustering ~images (p : Problem.t) rs =
+let oracle ?runtime ~strategy ~clustering ~images ~q_clusters (p : Problem.t)
+    rs =
   let man = p.Problem.man in
   let pin id = ignore (M.Roots.add rs id : int) in
   let quantified = Problem.hidden_inputs p @ Problem.state_vars p in
   let ns_cube = O.cube_of_vars man (Problem.next_state_vars p) in
   pin ns_cube;
-  let cluster parts =
+  let clusters parts =
     (Img.Partition.apply (Img.Partition.of_relations man parts) clustering)
       .Img.Partition.parts
-    |> List.map (fun part -> M.Roots.add rs part)
   in
+  let cluster parts = List.map (M.Roots.add rs) (clusters parts) in
   let urel = cluster (Problem.u_relation_parts p) in
   let trel = cluster (Problem.transition_parts p) in
+  (* Q_ζ(u,v): symbols under which some input causes an output of F that
+     does not conform to S. The per-output conformance parts are clustered
+     like the relations, and each cluster G_g keeps an image of its own:
+     Q_ζ = ∨_g ∃i,cs (¬G_g ∧ Urel ∧ ζ), exact because ∃ distributes over ∨.
+     [No_clustering] gives the paper's one image per output. A cluster that
+     always conforms contributes nothing and gets no image. *)
   let non_conformance =
     M.with_frozen man @@ fun () ->
-    List.map (O.bnot man) (Problem.conformance_parts p)
+    List.filter_map
+      (fun g ->
+        let nc = O.bnot man g in
+        if nc = M.zero then None else Some (M.Roots.add rs nc))
+      (clusters (Problem.conformance_parts p))
   in
-  List.iter pin non_conformance;
-  (* Q_ζ(u,v): symbols under which some input causes an output of F that
-     does not conform to S. The paper computes one image per output; the
-     per-output non-conformance conditions range over (i,v,cs) only — the
-     dangerous ns variables are not involved — so they are disjoined once
-     and every subset state runs a single image instead. *)
-  let combined_non_conformance =
-    M.Roots.add rs (O.disj man non_conformance)
-  in
-  (* both images are planned once per solve over their fixed parts; each
+  (* every image is planned once per solve over its fixed parts; each
      subset state only conjoins its ζ with the first planned part and runs
      the and-exists chain *)
   let plan parts =
     Img.Image.plan strategy man ~roots:rs parts
       ~care_support:(Problem.state_vars p) ~quantify:quantified
   in
-  let q_plan = plan (combined_non_conformance :: urel) in
+  let q_plans = List.map (fun nc -> plan (nc :: urel)) non_conformance in
   let sr_plan = plan (urel @ trel) in
-  let image plan zeta =
+  q_clusters := List.length q_plans;
+  (* one runtime tick per image of the construction: [q] ticks once however
+     many clusters it unites *)
+  let tick () = Option.iter Runtime.tick_image runtime in
+  let q_image zeta =
+    tick ();
+    images := !images + List.length q_plans;
+    Img.Image.apply_union man q_plans zeta
+  in
+  let sr_image zeta =
+    tick ();
     incr images;
-    Option.iter Runtime.tick_image runtime;
-    Img.Image.apply plan zeta
+    Img.Image.apply sr_plan zeta
   in
   let successors ~split zeta =
     (* per-iteration intermediates ride the operation stack: each one is an
        operand of a later call in this iteration, and any allocation in
        between may trigger a collection *)
-    let q = image q_plan zeta in
+    let q = q_image zeta in
     M.stack_push man q;
-    let sr = image sr_plan zeta in
+    let sr = sr_image zeta in
     M.stack_push man sr;
     let p_rel = O.bdiff man sr q in
     M.stack_drop man 1;
@@ -83,13 +99,13 @@ let oracle ?runtime ~strategy ~clustering ~images (p : Problem.t) rs =
 
 let solve_arena ?runtime ?(strategy = Img.Image.default)
     ?(clustering = default_clustering) ?on_state (p : Problem.t) =
-  let images = ref 0 in
+  let images = ref 0 and q_clusters = ref 0 in
   let arena, subset_states =
     Engine.run ?runtime ?on_state p.Problem.man ~alphabet:(Problem.alphabet p)
-      (oracle ?runtime ~strategy ~clustering ~images p)
+      (oracle ?runtime ~strategy ~clustering ~images ~q_clusters p)
   in
   ( arena,
-    { subset_states; image_computations = !images;
+    { subset_states; image_computations = !images; q_clusters = !q_clusters;
       peak_nodes = M.peak_live_nodes p.Problem.man } )
 
 let solve ?runtime ?strategy ?clustering ?on_state p =

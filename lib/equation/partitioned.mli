@@ -8,8 +8,10 @@
     - for each subset state [ζ(cs)], the non-conformance condition
       [Q_ζ(u,v) = ∃i,cs (Urel ∧ ¬C ∧ ζ)] redirects symbols to the
       non-accepting sink [DCN] (the early trimming justified by the paper's
-      prefix-closedness argument); it is one image per subset state over
-      the disjoined per-output conditions [¬C], not one image per output;
+      prefix-closedness argument). [¬C] is never built: the conformance
+      parts are clustered like the relations, and [Q_ζ] is the union of
+      one image per cluster [G_g], [∨_g ∃i,cs (Urel ∧ ¬G_g ∧ ζ)] — one
+      image per output without clustering, as in the paper;
     - the successor relation
       [P_ζ(u,v,ns) = ∃i,cs (Urel ∧ Trel ∧ ζ) ∧ ¬Q_ζ] is computed by the
       partitioned image engine with early quantification and split into
@@ -24,6 +26,11 @@
 type stats = {
   subset_states : int;  (** subset states explored (excluding the sinks) *)
   image_computations : int;
+      (** planned images applied: per subset state, one per conformance
+          cluster plus the successor image *)
+  q_clusters : int;
+      (** conformance clusters that can fail, each with its own [Q_ζ]
+          image; 0 when [S] conforms for every input *)
   peak_nodes : int;     (** manager node count after solving *)
 }
 
@@ -39,16 +46,18 @@ val solve :
   Problem.t ->
   Fsa.Automaton.t * stats
 (** [strategy] (default {!Img.Image.default}) is the image schedule of
-    every subset state's two images; both are planned once per solve, in
-    the [Build] phase, and applied to each subset state. With [runtime],
+    every subset state's images; all are planned once per solve, in the
+    [Build] phase, and applied to each subset state. With [runtime],
     the solver ticks the runtime through the [Build] (relation clustering
     and image planning) and [Subset] phases:
     {!Runtime.Deadline_exceeded} is raised past the deadline and
     {!Bdd.Manager.Node_limit_exceeded} past the node budget (or at an
     injected fault), with partial progress recorded on the runtime.
     [clustering] (default {!default_clustering}) pre-clusters the relation
-    parts before the subset construction; [Img.Partition.No_clustering]
-    keeps one conjunct per latch/output.
+    and conformance parts before the subset construction;
+    [Img.Partition.No_clustering] keeps one conjunct per latch/output.
+    The runtime ticks once per [Q_ζ] and once per successor image, however
+    many clusters [Q_ζ] unites.
     [on_state] is a progress callback invoked with each subset state index
     as it is expanded. *)
 

@@ -289,9 +289,14 @@ let solve_split ?node_limit ?time_limit ?(retries = 1) ?(fallback = true)
       descend (ladder ~method_ ~clustering ~retries ~fallback ~gc))
 
 let verify ?runtime r =
+  (* bound in order: the components of a tuple are evaluated right to
+     left *)
   let checks () =
-    ( Verify.particular_contained ?runtime r.problem r.split r.csf,
-      Verify.composition_equals_spec ?runtime r.problem r.split )
+    let contained =
+      Verify.particular_contained ?runtime r.problem r.split r.csf
+    in
+    let equal = Verify.composition_equals_spec ?runtime r.problem r.split in
+    (contained, equal)
   in
   (* with a runtime, [Runtime.enter_phase] opens the verify phase span *)
   match runtime with

@@ -115,7 +115,8 @@ val solve_split :
     the grow-only allocation behaviour. *)
 
 val verify : ?runtime:Runtime.t -> report -> bool * bool
-(** [(particular_contained, composition_equals_spec)] for a completed run.
+(** [(particular_contained, composition_equals_spec)] for a completed run,
+    checked in that order.
     With [runtime], verification runs in the [Verify] phase under the
     runtime's budget instead of unbounded; without it, the checks run
     inside a ["phase.verify"] span of their own. *)

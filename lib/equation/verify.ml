@@ -14,7 +14,10 @@ let particular_contained ?runtime (p : Problem.t) (sp : Split.t) (x : A.t) =
   let man = p.Problem.man in
   (* the σ cubes queued below are tiny but held across allocation in plain
      tables; the whole walk allocates a bounded number of small cubes, so
-     run it frozen rather than pinning each one *)
+     run it frozen rather than pinning each one. A store that enters the
+     walk nearly full of dead nodes would double inside it, so offer the
+     collection first. *)
+  ignore (M.collect_at_safe_point man : int);
   M.with_frozen man @@ fun () ->
   if A.num_states x = 0 then false
   else begin
@@ -60,6 +63,55 @@ let particular_contained ?runtime (p : Problem.t) (sp : Split.t) (x : A.t) =
     !ok
   end
 
+(* [states] (over state variables and v) holds a state whose outputs differ
+   for some input: [states → C_j] fails for some conformance part. No
+   quantifier is needed, since [states] does not mention the inputs and
+   quantification does not change emptiness, and no product is built:
+   [Manager.leq] creates no node. *)
+let non_conforming man conformance states =
+  List.exists (fun c -> not (M.leq man states c)) conformance
+
+(* Forward reachability from [init] under [image]: [false] as soon as a
+   frontier is [bad], [true] at the fixpoint. The reached set and the
+   frontier are protected and rotated, so superseded iterates become
+   collectable immediately. Each image starts at a safe point: a store
+   that fills up with dead iterates is collected there instead of growing,
+   and its computed cache (sized to the entry count) with it. *)
+let reach_conforming man ~tick ~init ~image ~bad =
+  let protect_state id = if not (M.is_const id) then M.protect man id in
+  let release_state id = if not (M.is_const id) then M.release man id in
+  let reached = ref init and frontier = ref init in
+  protect_state !reached;
+  protect_state !frontier;
+  Fun.protect
+    ~finally:(fun () ->
+      release_state !reached;
+      release_state !frontier)
+  @@ fun () ->
+  let rec loop () =
+    tick ();
+    if !Obs.on then Obs.Counter.bump c_frontier;
+    if !frontier = M.zero then true
+    else if bad !frontier then false
+    else begin
+      ignore (M.collect_at_safe_point man : int);
+      let img = image !frontier in
+      M.stack_push man img;
+      let fresh = O.bdiff man img !reached in
+      M.stack_push man fresh;
+      let reached' = O.bor man !reached fresh in
+      M.stack_drop man 2;
+      protect_state reached';
+      protect_state fresh;
+      release_state !reached;
+      release_state !frontier;
+      reached := reached';
+      frontier := fresh;
+      loop ()
+    end
+  in
+  loop ()
+
 let composition_with_machine ?runtime (p : Problem.t) (machine : Machine.t) =
   enter_verify runtime;
   let tick = Runtime.ticker runtime in
@@ -88,7 +140,7 @@ let composition_with_machine ?runtime (p : Problem.t) (machine : Machine.t) =
   in
   (* the prologue chains part-list builders whose results live in plain
      lists: build frozen, then pin what the fixpoint keeps *)
-  let parts, v_definitions, conformance, nonconformance, init =
+  let parts, v_defined, conformance, init =
     M.with_frozen man @@ fun () ->
     (* the machine's outputs are named after the v variables *)
     let v_definitions =
@@ -106,14 +158,14 @@ let composition_with_machine ?runtime (p : Problem.t) (machine : Machine.t) =
       Problem.transition_parts p @ Problem.u_relation_parts p @ v_definitions
       @ x_transitions
     in
-    let conformance = O.conj man (Problem.conformance_parts p) in
     let init =
       O.conj man [ f.NS.init_cube; s.NS.init_cube; x_sym.NS.init_cube ]
     in
-    (parts, v_definitions, conformance, O.bnot man conformance, init)
+    let v_defined = O.conj man v_definitions in
+    (parts, v_defined, Problem.conformance_parts p, init)
   in
-  pin conformance;
-  pin nonconformance;
+  pin v_defined;
+  List.iter pin conformance;
   pin init;
   let state_vars = Problem.state_vars p @ x_sym.NS.state_vars in
   let quantify =
@@ -130,51 +182,15 @@ let composition_with_machine ?runtime (p : Problem.t) (machine : Machine.t) =
     fun frontier ->
       Img.Image.forward_image plan man ~ns_to_cs:rename_pairs ~care:frontier
   in
-  (* a composed state is bad when for some input the outputs of F (driven
-     by the machine's v) and S differ; a check, not an image, so it stays
-     out of [image.calls] *)
-  let bad =
-    let plan =
-      Img.Quantify.plan man ~roots:rs (nonconformance :: v_definitions)
-        ~care_support:state_vars
-        ~quantify:(p.Problem.i_vars @ p.Problem.v_vars)
-    in
-    fun frontier -> Img.Quantify.apply plan frontier <> M.zero
+  (* a composed state is bad when for some input an output of F (driven
+     by the machine's v) differs from S's: the frontier, with the v the
+     machine drives, is not inside some conformance part (see
+     [non_conforming]); a check, not an image, so it stays out of
+     [image.calls] *)
+  let bad frontier =
+    non_conforming man conformance (O.band man frontier v_defined)
   in
-  (* rotate the protected fixpoint state so superseded iterates become
-     collectable immediately *)
-  let protect_state id = if not (M.is_const id) then M.protect man id in
-  let release_state id = if not (M.is_const id) then M.release man id in
-  let reached = ref init and frontier = ref init in
-  protect_state !reached;
-  protect_state !frontier;
-  Fun.protect
-    ~finally:(fun () ->
-      release_state !reached;
-      release_state !frontier)
-  @@ fun () ->
-  let rec loop () =
-    tick ();
-    if !Obs.on then Obs.Counter.bump c_frontier;
-    if !frontier = M.zero then true
-    else if bad !frontier then false
-    else begin
-      let img = image !frontier in
-      M.stack_push man img;
-      let fresh = O.bdiff man img !reached in
-      M.stack_push man fresh;
-      let reached' = O.bor man !reached fresh in
-      M.stack_drop man 2;
-      protect_state reached';
-      protect_state fresh;
-      release_state !reached;
-      release_state !frontier;
-      reached := reached';
-      frontier := fresh;
-      loop ()
-    end
-  in
-  loop ()
+  reach_conforming man ~tick ~init ~image ~bad
 
 let composition_equals_spec ?runtime (p : Problem.t) (sp : Split.t) =
   enter_verify runtime;
@@ -184,12 +200,11 @@ let composition_equals_spec ?runtime (p : Problem.t) (sp : Split.t) =
   let module NS = Network.Symbolic in
   M.with_roots man @@ fun rs ->
   let pin id = ignore (M.Roots.add rs id : int) in
-  let parts, init, good =
+  let parts, init, conformance =
     M.with_frozen man @@ fun () ->
     let parts =
       Problem.transition_parts p @ Problem.u_relation_parts p
     in
-    let conformance = O.conj man (Problem.conformance_parts p) in
     let init =
       O.conj man
         [ f.NS.init_cube;
@@ -197,14 +212,10 @@ let composition_equals_spec ?runtime (p : Problem.t) (sp : Split.t) =
           O.cube_of_literals man
             (List.map2 (fun v b -> (v, b)) p.Problem.v_vars sp.Split.x_init) ]
     in
-    (* states whose outputs conform for every input *)
-    let good =
-      O.forall man (O.cube_of_vars man p.Problem.i_vars) conformance
-    in
-    (parts, init, good)
+    (parts, init, Problem.conformance_parts p)
   in
   pin init;
-  pin good;
+  List.iter pin conformance;
   let rename_pairs =
     Problem.ns_to_cs p @ List.combine p.Problem.u_vars p.Problem.v_vars
   in
@@ -217,38 +228,6 @@ let composition_equals_spec ?runtime (p : Problem.t) (sp : Split.t) =
     fun frontier ->
       Img.Image.forward_image plan man ~ns_to_cs:rename_pairs ~care:frontier
   in
-  let protect_state id = if not (M.is_const id) then M.protect man id in
-  let release_state id = if not (M.is_const id) then M.release man id in
-  let reached = ref init and frontier = ref init in
-  protect_state !reached;
-  protect_state !frontier;
-  Fun.protect
-    ~finally:(fun () ->
-      release_state !reached;
-      release_state !frontier)
-  @@ fun () ->
-  let rec loop () =
-    tick ();
-    if !Obs.on then Obs.Counter.bump c_frontier;
-    if !frontier = M.zero then true
-    else if
-      (* ∃ reachable composed state, ∃ input: outputs of F×X_P and S differ *)
-      O.bdiff man !frontier good <> M.zero
-    then false
-    else begin
-      let img = image !frontier in
-      M.stack_push man img;
-      let fresh = O.bdiff man img !reached in
-      M.stack_push man fresh;
-      let reached' = O.bor man !reached fresh in
-      M.stack_drop man 2;
-      protect_state reached';
-      protect_state fresh;
-      release_state !reached;
-      release_state !frontier;
-      reached := reached';
-      frontier := fresh;
-      loop ()
-    end
-  in
-  loop ()
+  (* ∃ reachable composed state, ∃ input: outputs of F×X_P and S differ *)
+  reach_conforming man ~tick ~init ~image
+    ~bad:(non_conforming man conformance)

@@ -23,6 +23,19 @@ let apply plan care =
   count ();
   Quantify.apply plan care
 
+(* ∃ distributes over ∨, so the union of the images is the image of the
+   union: [∨_g ∃q. care ∧ ∧ parts_g] *)
+let apply_union m plans care =
+  List.fold_left
+    (fun acc plan ->
+      Bdd.Manager.stack_push m acc;
+      let img = apply plan care in
+      Bdd.Manager.stack_push m img;
+      let acc = Bdd.Ops.bor m acc img in
+      Bdd.Manager.stack_drop m 2;
+      acc)
+    Bdd.Manager.zero plans
+
 let fused_image m ~cube rel care =
   count ();
   Bdd.Ops.and_exists m cube rel care

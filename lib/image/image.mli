@@ -40,6 +40,12 @@ val apply : plan -> int -> int
 (** [apply plan care]: the planned image of [care]. Counts one
     [image.calls]. *)
 
+val apply_union : Bdd.Manager.t -> plan list -> int -> int
+(** [apply_union m plans care] is [∨ (apply plan care)] over [plans]
+    (⊥ for none): the image of [care] under a relation kept as a
+    disjunction of planned parts, one {!apply} (and one [image.calls]) per
+    plan. [care] must be kept alive by the caller. *)
+
 val fused_image : Bdd.Manager.t -> cube:int -> int -> int -> int
 (** [fused_image m ~cube rel care] is [∃ cube. rel ∧ care] in one fused
     [Bdd.Ops.and_exists] — the image over a relation that is already

@@ -684,6 +684,61 @@ let prop_band_capped =
       && r = (if fresh > cap then -1 else full)
       && (r >= 0 || O.size m full > cap))
 
+(* [leq f g] is truth-table implication. Besides an unrelated [g], the
+   shapes put the answer deep in the walk: [f ≤ f ∨ g] always holds, and
+   [f ≤ f ∧ g] exactly when [f ≤ g]; [g = f] and the constants are the
+   terminal cases. The repeated call is answered from the cache. *)
+let prop_leq_truth_table =
+  QCheck.Test.make ~count:400 ~name:"leq = truth-table implication"
+    QCheck.(triple (formula_arb nvars) (formula_arb nvars) (int_bound 3))
+    (fun (f, g, shape) ->
+      let g =
+        match shape with
+        | 0 -> g
+        | 1 -> F_or (f, g)
+        | 2 -> F_and (f, g)
+        | _ -> f
+      in
+      let m = fresh_man () in
+      let bf = fbuild m f and bg = fbuild m g in
+      let implies =
+        List.for_all
+          (fun env -> (not (feval env f)) || feval env g)
+          (all_envs ())
+      in
+      let first = M.leq m bf bg in
+      let cached = M.leq m bf bg in
+      M.check m;
+      first = implies && cached = implies)
+
+(* [leq] builds nothing: the store, the live count and the OCaml minor
+   heap are where they were, over cold and warm calls on every ordered
+   pair of a few random BDDs *)
+let test_leq_creates_nothing () =
+  let rng = Random.State.make [| 81 |] in
+  let m = Helpers.fresh_man ~nvars () in
+  let fs =
+    Array.append [| M.zero; M.one |]
+      (Array.init 6 (fun _ -> Helpers.random_bdd ~depth:4 m nvars rng))
+  in
+  let n = Array.length fs in
+  let store = M.store_size m and live = M.live_nodes m in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        ignore (M.leq m fs.(i) fs.(j) : bool)
+      done
+    done
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "store unchanged" store (M.store_size m);
+  Alcotest.(check int) "live nodes unchanged" live (M.live_nodes m);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for 6 400 leq calls (< 64)" words)
+    true (words < 64.0);
+  M.check m
+
 (* the mark-buffer walks agree with Hashtbl walks on DAGs that share
    nodes, and again after a collection has reused the mark buffer *)
 let prop_traversals =
@@ -722,7 +777,7 @@ let qcheck_cases =
       prop_exists_nested; prop_compose_sequential;
       prop_isop_exact; prop_isop_interval; prop_isop_irredundant;
       prop_ite_shapes; prop_exists_truth_table; prop_band_capped;
-      prop_traversals ]
+      prop_traversals; prop_leq_truth_table ]
 
 let () =
   Alcotest.run "bdd"
@@ -732,6 +787,8 @@ let () =
           Alcotest.test_case "canonicity" `Quick test_canonicity;
           Alcotest.test_case "de morgan" `Quick test_de_morgan;
           Alcotest.test_case "ite truth table" `Quick test_ite_truth_table;
+          Alcotest.test_case "leq creates nothing" `Quick
+            test_leq_creates_nothing;
           Alcotest.test_case "commuted and/or is one cache hit" `Quick
             test_commuted_and_or_hit;
           Alcotest.test_case "exists" `Quick test_exists_semantics;

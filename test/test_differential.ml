@@ -70,6 +70,32 @@ let mismatch_clustering p =
       ( "affinity:500/greedy (default)",
         (Img.Image.default, E.Partitioned.default_clustering) ) ]
 
+(* Grouped non-conformance oracle: under a small affinity threshold the
+   conformance parts of a two-output netlist stay apart, so [Q_ζ] is a
+   union of one image per group; under the default threshold they merge
+   into one group, the single image over the whole [¬C] that the oracle
+   used to run. The two CSFs must be language-equivalent. Instances that
+   build several groups are counted, so the test can reject a vacuous
+   pass. *)
+let grouped_instances = ref 0
+
+let mismatch_grouped p =
+  let _, prob = E.Split.problem (netlist p) ~x_latches:(x_latches p) in
+  let solve clustering =
+    let sol, stats = E.Partitioned.solve ~clustering prob in
+    (E.Csf.csf prob sol, stats.E.Partitioned.q_clusters)
+  in
+  let grouped, groups = solve (Img.Partition.Affinity 8) in
+  let one, one_groups = solve E.Partitioned.default_clustering in
+  if groups >= 2 then incr grouped_instances;
+  if one_groups > 1 then
+    Some (Printf.sprintf "default clustering left %d groups" one_groups)
+  else if not (Fsa.Language.equivalent grouped one) then
+    Some
+      (Printf.sprintf "grouped q CSF differs from one-group q (%d vs %d states)"
+         (E.Csf.num_states grouped) (E.Csf.num_states one))
+  else None
+
 (* GC oracle: a solve under the mark-and-sweep collector (forced to run
    often by a deliberately tiny initial store and a near-zero dead-ratio
    threshold) must produce a CSF language-equivalent to a grow-only solve
@@ -244,6 +270,22 @@ let test_capped_clustering_agrees () =
            (describe p') msg' (describe p))
   done
 
+let test_grouped_q_agrees () =
+  grouped_instances := 0;
+  for i = 0 to n_instances - 1 do
+    let p = instance i in
+    match mismatch_grouped p with
+    | None -> ()
+    | Some msg ->
+      let p', msg' = shrink ~failing:mismatch_grouped p msg in
+      Alcotest.fail
+        (Printf.sprintf "grouped q differs on [%s]: %s (shrunk from [%s])"
+           (describe p') msg' (describe p))
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d instances build several groups" !grouped_instances)
+    true (!grouped_instances > 0)
+
 let test_worklist_agrees () =
   for i = 0 to n_instances - 1 do
     let p = instance i in
@@ -305,6 +347,10 @@ let () =
         [ Alcotest.test_case
             (Printf.sprintf "%d random netlists" n_instances)
             `Slow test_capped_clustering_agrees ] );
+      ( "grouped vs one-group q",
+        [ Alcotest.test_case
+            (Printf.sprintf "%d random netlists" n_instances)
+            `Slow test_grouped_q_agrees ] );
       ( "worklist vs sweep csf",
         [ Alcotest.test_case
             (Printf.sprintf "%d random netlists" n_instances)

@@ -186,6 +186,71 @@ let test_verify_detects_wrong_solution () =
   Alcotest.(check bool) "corrupted solution rejected" false
     (E.Verify.particular_contained p1 sp1 corrupted)
 
+(* Three outputs, two latches; the split-out latch [l1] is [o1]. The wrong
+   specification differs from the circuit only in [o1], the middle output,
+   and only in state (l0, l1) = (0, 1), two steps from the initial state,
+   so each §4 composition check must test every conformance part and run
+   its fixpoint past the first frontier. *)
+let three_outputs ~o1 =
+  Network.Blif.parse_string
+    (String.concat "\n"
+       [ ".model three_outputs"; ".inputs a"; ".outputs o0 o1 o2";
+         ".latch n0 l0 0"; ".latch n1 l1 0";
+         ".names a l0 n0"; "10 1"; "01 1";
+         ".names l0 l1 n1"; "10 1"; "01 1";
+         ".names l0 o0"; "1 1";
+         ".names l0 l1 o1"; o1;
+         ".names a l1 o2"; "11 1"; ".end"; "" ])
+
+let test_verify_detects_one_wrong_output () =
+  let good = three_outputs ~o1:"-1 1" and wrong = three_outputs ~o1:"11 1" in
+  let sp = E.Split.split good ~x_latches:[ "l1" ] in
+  let problem s =
+    E.Problem.make ~affinities:[ ("v.l1", "u.l1", "l1") ] ~f:sp.E.Split.f ~s
+      ~u_names:sp.E.Split.u_names ~v_names:sp.E.Split.v_names ()
+  in
+  (* the particular solution as a Moore machine: a one-bit latch bank *)
+  let latch_bank (p : E.Problem.t) =
+    let man = p.E.Problem.man in
+    let u = List.hd p.E.Problem.u_vars and v = List.hd p.E.Problem.v_vars in
+    let lit var b = O.cube_of_literals man [ (var, b) ] in
+    E.Machine.make man ~u_vars:[ u ] ~v_vars:[ v ] ~initial:0
+      ~outputs:[| lit v false; lit v true |]
+      ~next:(Array.make 2 [ (lit u false, 0); (lit u true, 1) ])
+  in
+  List.iter
+    (fun (name, s, expected) ->
+      let p = problem s in
+      Alcotest.(check int) (name ^ ": three conformance parts") 3
+        (List.length (E.Problem.conformance_parts p));
+      Alcotest.(check bool) (name ^ ": F × X_P ≡ S") expected
+        (E.Verify.composition_equals_spec p sp);
+      Alcotest.(check bool) (name ^ ": F × machine ≡ S") expected
+        (E.Verify.composition_with_machine p (latch_bank p)))
+    [ ("right spec", good, true); ("o1 wrong", wrong, false) ]
+
+(* t526, a Table-1 row, under the default kernel: the subset construction
+   and the CSF keep their pinned sizes while Q_ζ unites several
+   conformance clusters, and both §4 checks pass *)
+let test_t526_grouped_q () =
+  let row = Circuits.Suite.find "t526" in
+  let sp, p =
+    E.Split.problem row.Circuits.Suite.net
+      ~x_latches:row.Circuits.Suite.x_latches
+  in
+  let arena, stats = E.Partitioned.solve_arena p in
+  let csf, deletions = E.Csf.of_arena p arena in
+  Alcotest.(check int) "subset states" 40 stats.E.Partitioned.subset_states;
+  Alcotest.(check int) "CSF deletions" 6 deletions;
+  let groups = stats.E.Partitioned.q_clusters in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d conformance clusters (>= 2)" groups)
+    true (groups >= 2);
+  Alcotest.(check bool) "X_P ⊆ X" true
+    (E.Verify.particular_contained p sp csf);
+  Alcotest.(check bool) "F × X_P ≡ S" true
+    (E.Verify.composition_equals_spec p sp)
+
 (* --- solution structure ------------------------------------------------------ *)
 
 let test_solution_shape () =
@@ -374,11 +439,14 @@ let () =
       ( "verification",
         [ Alcotest.test_case "checks pass" `Slow test_verification_checks;
           Alcotest.test_case "detects wrong solution" `Quick
-            test_verify_detects_wrong_solution ] );
+            test_verify_detects_wrong_solution;
+          Alcotest.test_case "detects one wrong output" `Quick
+            test_verify_detects_one_wrong_output ] );
       ( "structure",
         [ Alcotest.test_case "solution shape" `Quick test_solution_shape;
           Alcotest.test_case "strict flexibility" `Quick
-            test_csf_contains_more_than_xp ] );
+            test_csf_contains_more_than_xp;
+          Alcotest.test_case "t526 groups q" `Quick test_t526_grouped_q ] );
       ( "observation",
         [ Alcotest.test_case "grows flexibility" `Quick
             test_observation_grows_flexibility;

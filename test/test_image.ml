@@ -105,6 +105,80 @@ let test_plan_apply_collects () =
   done;
   Alcotest.(check bool) "the 16-slot store collects" true (!runs > 0)
 
+(* One random instance of a relation kept as a disjunction of parts: the
+   union of one image per part [g :: urel] ([Image.apply_union], the
+   partitioned oracle's grouped [Q_ζ]) against one image over the part
+   [O.disj groups] (the single combined image it replaces). 1–6 groups,
+   ⊥ and ⊤ among them, in a 16-slot store with auto-GC on. Returns
+   (grouped, single, collections). *)
+let union_instance (seed, ngroups) =
+  let nvars = 8 in
+  let man = M.create ~initial_capacity:16 () in
+  ignore (M.new_vars man nvars : int list);
+  M.set_auto_gc man true;
+  let rng = Random.State.make [| seed |] in
+  M.with_roots man @@ fun rs ->
+  let random () =
+    M.Roots.add rs (M.with_frozen man (fun () -> random_bdd man nvars rng))
+  in
+  let group () =
+    match Random.State.int rng 6 with
+    | 0 -> M.zero
+    | 1 -> M.one
+    | _ -> random ()
+  in
+  let groups = List.init ngroups (fun _ -> group ()) in
+  let urel = List.init 2 (fun _ -> random ()) in
+  let care = random () in
+  let quantify =
+    List.filter (fun _ -> Random.State.bool rng) (List.init nvars Fun.id)
+  in
+  let plan parts =
+    I.plan I.default man ~roots:rs parts ~care_support:[ 0; 1 ] ~quantify
+  in
+  let grouped =
+    M.Roots.add rs
+      (I.apply_union man (List.map (fun g -> plan (g :: urel)) groups) care)
+  in
+  let whole = M.Roots.add rs (M.with_frozen man (fun () -> O.disj man groups)) in
+  (grouped, I.apply (plan (whole :: urel)) care, M.gc_runs man)
+
+let prop_apply_union =
+  QCheck.Test.make ~count:200
+    ~name:"grouped images = one image over the disjunction"
+    QCheck.(
+      make
+        ~print:(fun (seed, n) -> Printf.sprintf "seed=%d groups=%d" seed n)
+        Gen.(pair (int_bound 1_000_000) (int_range 1 6)))
+    (fun instance ->
+      let grouped, single, _ = union_instance instance in
+      grouped = single)
+
+(* the union counts one image per plan, is ⊥ over no plans, and its
+   property runs collections *)
+let test_apply_union_counts () =
+  let runs = ref 0 in
+  for seed = 1 to 20 do
+    let _, _, n = union_instance (seed, 6) in
+    runs := !runs + n
+  done;
+  Alcotest.(check bool) "the 16-slot store collects" true (!runs > 0);
+  let man = M.create () in
+  ignore (M.new_vars man 4 : int list);
+  M.with_roots man @@ fun rs ->
+  let a = O.var_bdd man 0 and b = O.var_bdd man 1 in
+  let plan parts =
+    I.plan I.default man ~roots:rs parts ~care_support:[] ~quantify:[ 0 ]
+  in
+  let plans = [ plan [ a ]; plan [ b ] ] in
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  Alcotest.(check int) "no plans: ⊥" M.zero (I.apply_union man [] M.one);
+  Alcotest.(check int) "no plans: no image" 0 (Obs.Counter.find "image.calls");
+  Alcotest.(check int) "∃x0. x0 ∨ ∃x0. x1 = ⊤" M.one (I.apply_union man plans M.one);
+  Alcotest.(check int) "one image per plan" 2 (Obs.Counter.find "image.calls")
+
 let strategies =
   [ ("monolithic", I.Monolithic);
     ("partitioned-given", I.Partitioned Q.Given);
@@ -376,7 +450,10 @@ let () =
           Alcotest.test_case "full quantification" `Quick
             test_and_exists_all_quantified;
           Alcotest.test_case "plan/apply under gc collects" `Quick
-            test_plan_apply_collects ]
+            test_plan_apply_collects;
+          Alcotest.test_case "apply_union counts and collects" `Quick
+            test_apply_union_counts;
+          QCheck_alcotest.to_alcotest prop_apply_union ]
         @ List.map
             (fun o -> QCheck_alcotest.to_alcotest (prop_plan_apply o))
             [ ("greedy", Q.Greedy); ("given", Q.Given) ] );
